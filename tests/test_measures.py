@@ -5,7 +5,11 @@ from exczero.measures import (
     BallMeasure, check_distribution_and_bound, dirac, gamma_transform,
     load_measure, moment, save_measure, vanishing_order,
 )
+from exczero.curves import EllipticCurve
 from exczero.padic import exp_p, from_rational, log_iwasawa
+from exczero.pipeline import mtt_measure
+
+E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
 
 
 def test_dirac_passes_checks():
@@ -115,3 +119,46 @@ def test_modulus_relaxes_distribution_check():
     assert check_distribution_and_bound(approx).ok
     exact = BallMeasure(p, 3, vals)
     assert not check_distribution_and_bound(exact).ok
+
+
+def _reference_moment(mu, k, level, prec):
+    """moment by PadicNumber arithmetic: one log per unit, one term each."""
+    p = mu.p
+    c = check_distribution_and_bound(mu).bound_cert
+    total = from_rational(0, p, prec)
+    for a in mu.level_keys(level):
+        w = mu(level, a)
+        if w == 0:
+            continue
+        lg = log_iwasawa(Fraction(a), p, prec)
+        total = total + lg ** k * from_rational(w, p, prec + c)
+    err_exp = level + k - 1 - c
+    if mu.modulus is not None:
+        err_exp = min(err_exp, mu.modulus - c)
+    return total.truncate_abs(min(err_exp, total.abs_prec))
+
+
+def _same(x, y):
+    return (x.p, x.val, x.unit, x.prec) == (y.p, y.val, y.unit, y.prec)
+
+
+def test_moment_matches_padic_reference():
+    p = 5
+    combo = (dirac(p, 4, 1 + p).scale(Fraction(3, 25))
+             + dirac(p, 4, 2).scale(Fraction(-7, 5))
+             + dirac(p, 4, 3 + 2 * p).scale(Fraction(2, 75))
+             + dirac(p, 4, 4).scale(11)
+             + dirac(p, 4, 1).scale(Fraction(1, 25)))
+    assert check_distribution_and_bound(combo).bound_cert == 2
+    cases = [
+        (mtt_measure(E11, 11, 3), 3, (4, 12)),              # split, exact
+        (mtt_measure(E11, 3, 4, prec=8), 4, (3, 8, 12)),    # modulus = 8
+        (combo, 4, (2, 4, 18)),                             # c = 2
+    ]
+    for mu, level, precs in cases:
+        for prec in precs:
+            for k in range(1, 5):
+                got = moment(mu, k, level, prec)
+                ref = _reference_moment(mu, k, level, prec)
+                assert got.abs_prec == ref.abs_prec, (mu.p, k, prec)
+                assert _same(got, ref), (mu.p, k, prec, got, ref)

@@ -129,3 +129,41 @@ def test_eigensymbol_unique_up_to_sign(M11):
     # rebuilding gives the same normalized values
     again = ModularSymbolSpace(E11)
     assert again.lam_sym == M11.lam_sym
+
+
+def _reference_lam(M, r):
+    """lam by the continued fraction over Fraction and P1.index."""
+    r = Fraction(r)
+    digits = []
+    while True:
+        a = r.numerator // r.denominator
+        digits.append(a)
+        frac = r - a
+        if frac == 0:
+            break
+        r = 1 / frac
+    total, q_prev2, q_prev, sign = 0, 1, 0, 1
+    for a in digits:
+        q = a * q_prev + q_prev2
+        total += M.lam_sym[M.p1.index((q, sign * q_prev))]
+        q_prev2, q_prev, sign = q_prev, q, -sign
+    return total
+
+
+def test_lam_matches_fraction_reference(M11, M15):
+    rng = random.Random(41)
+    for M in (M11, M15):
+        rs = random_rationals(rng, 3000, den_max=20000)
+        rs += [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 11 ** 5))
+               for _ in range(2000)]
+        rs += [Fraction(n) for n in range(-30, 31)]
+        for r in rs:
+            assert M.lam(r) == _reference_lam(M, r), (M.N, r)
+        for n in range(-5, 6):
+            assert M.lam(n) == _reference_lam(M, n)
+
+
+def test_lam_sym_pinned(M11, M15):
+    assert M11.lam_sym == [-2, 2, 0, 10, 5, -5, -10, -10, -5, 5, 10, 0]
+    assert M15.lam_sym == [-1, 1, 0, 4, 2, 0, -1, -2, -4, -4, -2, -1, 0, 2,
+                           4, 0, -2, 2, -2, 1, 2, 1, 1, -1]
