@@ -11,13 +11,12 @@ from .characters import (
     Quasicharacter, character_from_log, gauss_sum, trivial_character,
 )
 from .curves import l_invariant, load_curve, reduction_type, tate_period
-from .detident import det_fixedpointfree_expansion
 from .localdist import mellin_mu_alpha, mellin_target
 from .measures import gamma_transform, load_measure, moment
 from .padic import DEFAULT_PREC
 from .pipeline import exceptional_zero_report, total_mass_report
 from .steinberg import EllSpec, coboundary_check
-from .suite import run_suite
+from .suite import criterion_determinant, run_suite
 from .tree import ball_of_vertex, ball_vertices, neighbors, vertex_from_ball
 from .treerep import delta, delta_star, hecke_T, rho_times, tilde_delta_down, \
     tilde_delta_up
@@ -139,21 +138,10 @@ def cmd_steinberg(args, parser):
 
 
 def cmd_detcheck(args, parser):
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        k = rng.randint(1, args.kmax)
-        m = rng.randint(k, args.mmax)
-        rows = []
-        for _ in range(k):
-            row = [rng.randint(-9, 9) for _ in range(m - 1)]
-            row.append(-sum(row))
-            rows.append(row)
-        lhs, rhs = det_fixedpointfree_expansion(rows)
-        failures += lhs != rhs
-    return _emit(args, failures == 0,
-                 {"trials": args.trials, "kmax": args.kmax,
-                  "mmax": args.mmax, "failures": failures})
+    r = criterion_determinant(args.seed, trials=args.trials, kmax=args.kmax,
+                              mmax=args.mmax)
+    return _emit(args, r.ok, {"trials": args.trials, "kmax": args.kmax,
+                              "mmax": args.mmax, **r.details})
 
 
 def cmd_lp(args, parser):
@@ -216,7 +204,7 @@ def cmd_ezero(args, parser):
         "curve": E.label, "p": args.p, "level": args.level,
         "lp_at_0": rep.total_mass, "lam0": rep.lam_zero,
         "moment1_ratio": rep.moment1_ratio, "l_invariant": rep.l_inv,
-        "match_exp": rep.match_exp})
+        "bound_cert": rep.bound_cert, "match_exp": rep.match_exp})
 
 
 def cmd_suite(args, parser):

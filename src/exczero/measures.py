@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .padic import (
-    DEFAULT_PREC, PadicNumber, exp_p, from_rational, log_iwasawa, ord_p,
+    DEFAULT_PREC, PadicNumber, exp_p, from_rational, log_iwasawa, log_unit,
+    ord_p, teichmuller,
 )
 
 __all__ = [
@@ -22,13 +23,15 @@ class BallMeasure:
 
     modulus = None means the values are exact rationals; modulus = m means
     they are only trusted mod p^m (the case of an irrational unit root
-    approximated by a rational)."""
+    approximated by a rational).  Nothing mutates a measure after
+    construction, so its distribution report is computed once and kept."""
 
     def __init__(self, p, N, values, modulus=None):
         assert p % 2 == 1
         self.p = p
         self.N = N
         self.modulus = modulus
+        self.report = None
         self.values = {}
         for (n, a), v in values.items():
             assert 1 <= n <= N and a % p != 0
@@ -80,7 +83,10 @@ class DistributionReport:
 def check_distribution_and_bound(mu):
     """Exhaustively verify mu(a + p^n) = sum of the p refinements (exactly,
     or mod p^modulus for approximate measures) and compute the minimal
-    boundedness certificate c with ord_p(value) >= -c."""
+    boundedness certificate c with ord_p(value) >= -c.  The report is kept
+    on mu, so later calls return it at once."""
+    if mu.report is not None:
+        return mu.report
     p = mu.p
     failures = []
     for n in range(1, mu.N):
@@ -95,12 +101,8 @@ def check_distribution_and_bound(mu):
     for v in mu.values.values():
         if v != 0:
             worst = max(worst, -ord_p(v, p))
-    return DistributionReport(not failures, worst, failures)
-
-
-def _gauge_bracket(a, p, prec):
-    """<a> = a / omega(a), the principal-unit part; returned as log value."""
-    return log_iwasawa(Fraction(a), p, prec)
+    mu.report = DistributionReport(not failures, worst, failures)
+    return mu.report
 
 
 def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
@@ -117,15 +119,14 @@ def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
         s = from_rational(s, p, prec)
     c = check_distribution_and_bound(mu).bound_cert
     if s.is_zero:
-        total = sum(mu(level, a) for a in mu.level_keys(level))
-        return from_rational(total, p, prec), None
+        return moment(mu, 0, level, prec), None
     assert s.val >= 1, "Gamma-transform needs ord(s) >= 1"
     total = from_rational(0, p, prec)
     for a in mu.level_keys(level):
         w = mu(level, a)
         if w == 0:
             continue
-        bracket_pow = exp_p(s * _gauge_bracket(a, p, prec))
+        bracket_pow = exp_p(s * log_iwasawa(Fraction(a), p, prec))
         total = total + bracket_pow * from_rational(w, p, prec + c)
     err_exp = level + s.val - c
     if mu.modulus is not None:
@@ -143,19 +144,31 @@ def moment(mu, k, level, prec=DEFAULT_PREC):
         total = sum(mu(level, a) for a in mu.level_keys(level))
         return from_rational(total, p, prec)
     c = check_distribution_and_bound(mu).bound_cert
-    total = from_rational(0, p, prec)
-    for a in mu.level_keys(level):
-        w = mu(level, a)
-        if w == 0:
-            continue
-        lg = _gauge_bracket(a, p, prec)
-        total = total + lg ** k * from_rational(w, p, prec + c)
     # the integrand varies by ord >= level + (k-1) on each ball, so the sum
     # is accurate to ord >= level + k - 1 - c (and mod p^modulus if set)
     err_exp = level + k - 1 - c
     if mu.modulus is not None:
         err_exp = min(err_exp, mu.modulus - c)
-    return total.truncate_abs(min(err_exp, total.abs_prec))
+    w_inv = [None] + [pow(teichmuller(r, p, prec).unit, -1, p ** prec)
+                      for r in range(1, p)]
+    terms = [(w, log_unit(a, w_inv[a % p], p, prec))
+             for (n, a), w in mu.values.items() if n == level and w != 0]
+    # log<a> is known mod p^prec, so the term w log<a>^k is known to
+    # ord >= prec + ord(w) + (k-1) ord(log<a>), or prec k + ord(w) when
+    # log<a> = 0 mod p^prec; every such bound is >= prec - c
+    abs_prec = min(err_exp, prec)
+    if abs_prec > prec - c:
+        for w, lg in terms:
+            lg_prec = prec * k if lg == 0 else prec + (k - 1) * ord_p(lg, p)
+            abs_prec = min(abs_prec, ord_p(w, p) + lg_prec)
+    # sum p^c w log<a>^k in the integers mod p^(abs_prec + c)
+    m, scale = p ** (abs_prec + c), p ** c
+    total = 0
+    for w, lg in terms:
+        w = w * scale if w.denominator > 1 else w.numerator * scale
+        total += w.numerator * pow(w.denominator, -1, m) * pow(lg, k, m)
+    return from_rational(Fraction(total % m, scale), p,
+                         abs_prec + c).truncate_abs(abs_prec)
 
 
 def vanishing_order(mu, r_max, level, prec=DEFAULT_PREC):

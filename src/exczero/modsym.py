@@ -5,53 +5,35 @@ relations is cut out with exact linear algebra, and the dual Hecke
 eigensymbol of an elliptic curve is isolated as the joint eigenvector of
 the transposed Hecke operators and the plus involution.  The resulting
 functional lam(r) computes the normalized period of the path from infinity
-to a rational r through continued-fraction convergents."""
+to a rational r through continued-fraction convergents, looking each
+symbol up by its bottom row mod N."""
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
-
-from sympy import Matrix, SparseMatrix, eye
+from math import gcd, lcm
 
 from .curves import ap
+from .linalg import nullspace, rref
 
 __all__ = ["P1", "ModularSymbolSpace", "heilbronn_matrices"]
 
 
-def _gcdex(a, b):
-    """(x, y, g) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    if b == 0:
-        return (-1, 0, -a) if a < 0 else (1, 0, a)
-    q, r = divmod(a, b)
-    x, y, g = _gcdex(b, r)
-    return y, x - y * q, g
-
-
-def _lift_unit(n, d, a):
-    """Lift a unit a mod d (d | n) to a unit mod n."""
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    x, y, _ = _gcdex(u, v)
-    return (u * x + a * y * v) % n
-
-
 class P1:
-    """Representatives for the projective line over Z/N."""
+    """The projective line over Z/N: pairs (u, v) mod N with gcd(u, v, N) = 1
+    up to scaling by units, each orbit represented by its least pair."""
 
     def __init__(self, N):
         assert isinstance(N, int) and N >= 1
         self.N = N
-        reps = set()
+        units = [t for t in range(N) if gcd(t, N) == 1]
+        # flat[u * N + v]: the index of the orbit of (u, v), None off P^1
+        self.flat = flat = [None] * (N * N)
+        self._list = []
         for u in range(N):
             for v in range(N):
-                r = self.reduce((u, v))
-                if r is not None:
-                    reps.add(r)
-        self._list = sorted(reps)
+                if flat[u * N + v] is None and gcd(gcd(u, v), N) == 1:
+                    for t in units:
+                        flat[t * u % N * N + t * v % N] = len(self._list)
+                    self._list.append((u, v))
 
     def __len__(self):
         return len(self._list)
@@ -64,27 +46,12 @@ class P1:
 
     def reduce(self, pair):
         """Canonical representative, or None when gcd(u, v, N) > 1."""
-        N = self.N
-        u, v = pair
-        u %= N
-        v %= N
-        if u == 0:
-            return (0, 1) if gcd(N, v) == 1 else None
-        _, s, g = _gcdex(N, u)
-        if gcd(g, v) > 1:
-            return None
-        s = _lift_unit(N, N // g, s)
-        u, v = g, (s * v) % N
-        if g == 1:
-            return 1, v
-        v = min((v * t) % N for t in range(1, N, N // g) if gcd(N, t) == 1)
-        return g, v
+        i = self.flat[pair[0] % self.N * self.N + pair[1] % self.N]
+        return None if i is None else self._list[i]
 
     def index(self, pair):
-        r = self.reduce(pair)
-        assert r is not None, "pair not coprime to the level"
-        i = bisect_left(self._list, r)
-        assert self._list[i] == r
+        i = self.flat[pair[0] % self.N * self.N + pair[1] % self.N]
+        assert i is not None, "pair not coprime to the level"
         return i
 
 
@@ -106,25 +73,21 @@ def heilbronn_matrices(n):
 
 def _cf_symbols(r):
     """Bottom rows (c, d) of the unimodular matrices whose translates of
-    the path from 0 to infinity chain from infinity to r."""
-    r = Fraction(r)
-    digits = []
-    while True:
-        a = r.numerator // r.denominator
-        digits.append(a)
-        frac = r - a
-        if frac == 0:
-            break
-        r = 1 / frac
+    the path from 0 to infinity chain from infinity to r (an int or a
+    Fraction): the convergent denominators, by Euclid on r's numerator
+    and denominator."""
+    n, d = r.numerator, r.denominator
     syms = []
     q_prev2, q_prev = 1, 0  # q_{-2}, q_{-1}
     sign = 1                # (-1)^(k-1) for k = 0
-    for a in digits:
+    while True:
+        a, n = divmod(n, d)
         q = a * q_prev + q_prev2
         syms.append((q, sign * q_prev))
-        q_prev2, q_prev = q_prev, q
-        sign = -sign
-    return syms
+        if n == 0:
+            return syms
+        n, d = d, n
+        q_prev2, q_prev, sign = q_prev, q, -sign
 
 
 class ModularSymbolSpace:
@@ -142,30 +105,31 @@ class ModularSymbolSpace:
 
     def _build_quotient(self):
         p1 = self.p1
-        ncols = len(p1)
-        entries = {}
-        for row, (c, d) in enumerate(p1):
-            for col in (p1.index((c, d)), p1.index((d, -c))):
-                entries[(row, col)] = entries.get((row, col), 0) + 1
-            for col in (p1.index((c, d)), p1.index((d, -c - d)),
-                        p1.index((-c - d, c))):
-                key = (row + ncols, col)
-                entries[key] = entries.get(key, 0) + 1
-        mat, piv = SparseMatrix(2 * ncols, ncols, entries).rref()
-        self.free = tuple(j for j in range(ncols) if j not in piv)
+        rows = []
+        for c, d in p1:
+            for rel in (((c, d), (d, -c)), ((c, d), (d, -c - d), (-c - d, c))):
+                row = {}
+                for sym in rel:
+                    j = p1.index(sym)
+                    row[j] = row.get(j, 0) + 1
+                rows.append(row)
+        reduced, pivots = rref(rows)
+        self.free = tuple(j for j in range(len(p1)) if j not in pivots)
         self.dim = len(self.free)
-        rel = Matrix.zeros(self.dim, ncols)
-        for e, col in enumerate(piv):
-            for row, j in enumerate(self.free):
-                rel[row, col] = -mat[e, j]
-        for row, col in enumerate(self.free):
-            rel[row, col] = 1
+        # rel_mat[i][j]: coordinate i of Manin symbol j on the free symbols
+        rel = [[Fraction(0)] * len(p1) for _ in self.free]
+        for row, col in zip(reduced, pivots):
+            for i, j in enumerate(self.free):
+                rel[i][col] = -row.get(j, Fraction(0))
+        for i, j in enumerate(self.free):
+            rel[i][j] = Fraction(1)
         self.rel_mat = rel
 
     def _action_matrix(self, mats):
-        """Quotient matrix of the sum of right actions of 2x2 integer mats."""
+        """Quotient matrix (a list of rows) of the sum of right actions of
+        2x2 integer mats."""
         N = self.N
-        ans = SparseMatrix(len(self.p1), self.dim, {})
+        out = [[Fraction(0)] * self.dim for _ in self.free]
         for col, idx in enumerate(self.free):
             c, d = self.p1[idx]
             for (a, b, cc, dd) in mats:
@@ -173,9 +137,10 @@ class ModularSymbolSpace:
                 d1 = (b * c + dd * d) % N
                 if gcd(N, gcd(c1, d1)) > 1:
                     continue
-                row = self.p1.index((c1, d1))
-                ans[row, col] += 1
-        return self.rel_mat * ans
+                j = self.p1.index((c1, d1))
+                for i, rel in enumerate(self.rel_mat):
+                    out[i][col] += rel[j]
+        return out
 
     def hecke_matrix(self, n):
         return self._action_matrix(list(heilbronn_matrices(n)))
@@ -186,28 +151,30 @@ class ModularSymbolSpace:
     # -- the dual eigensymbol ------------------------------------------------
 
     def _build_eigensymbol(self, max_hecke_prime):
-        constraints = (self.star_matrix() - eye(self.dim)).T
-        space = constraints.nullspace()
+        dim = self.dim
+
+        def transposed_minus(m, a):  # the rows of (m - a) transposed
+            return [[m[i][j] - (a if i == j else 0) for i in range(dim)]
+                    for j in range(dim)]
+
+        constraints = transposed_minus(self.star_matrix(), 1)
+        space = nullspace(constraints, dim)
         ell = 2
         while len(space) > 1:
             assert ell <= max_hecke_prime, "eigensymbol not isolated"
             if self.N % ell != 0:
-                t = (self.hecke_matrix(ell) - ap(self.E, ell) * eye(self.dim)).T
-                constraints = constraints.col_join(t)
-                space = constraints.nullspace()
+                constraints += transposed_minus(self.hecke_matrix(ell),
+                                                ap(self.E, ell))
+                space = nullspace(constraints, dim)
             ell = _next_prime(ell)
         assert len(space) == 1, "no plus eigensymbol found"
         lam = space[0]
-        values = [sum(_frac(lam[i]) * _frac(self.rel_mat[i, j])
-                      for i in range(self.dim)) for j in range(len(self.p1))]
+        values = [sum(lam[i] * self.rel_mat[i][j] for i in range(dim))
+                  for j in range(len(self.p1))]
         # normalize: integral values of content one, positive at (1 : 0)
-        denom = 1
-        for v in values:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in values))
         ints = [int(v * denom) for v in values]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
+        content = gcd(*ints)
         assert content > 0, "eigensymbol vanishes identically"
         ints = [v // content for v in ints]
         base = ints[self.p1.index((1, 0))]
@@ -215,20 +182,20 @@ class ModularSymbolSpace:
         if base < 0:
             ints = [-v for v in ints]
         self.lam_sym = ints
+        # lam_sym by bottom row (c mod N, d mod N), at c * N + d
+        self._lam_by_row = [None if i is None else ints[i]
+                            for i in self.p1.flat]
 
     # -- evaluation ------------------------------------------------------------
 
     def lam(self, r):
-        """The eigensymbol paired with the path from infinity to r."""
-        return sum(self.lam_sym[self.p1.index(s)] for s in _cf_symbols(r))
+        """The eigensymbol paired with the path from infinity to r, an int
+        or a Fraction."""
+        N, table = self.N, self._lam_by_row
+        return sum(table[c % N * N + d % N] for c, d in _cf_symbols(r))
 
     def lam_zero(self):
         return self.lam_sym[self.p1.index((1, 0))]
-
-
-def _frac(x):
-    r = Fraction(x.p, x.q)
-    return r
 
 
 def _next_prime(n):

@@ -6,6 +6,7 @@ val + prec.  Arithmetic never reports more precision than the inputs justify.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "PadicNumber", "ord_p", "from_rational", "teichmuller",
@@ -146,7 +147,6 @@ class PadicNumber:
         p = self.p
         if self.is_zero or other.is_zero:
             # ord(xy) >= ord(x) + ord(y); for a zero the val *is* the bound
-            a = self.val if self.is_zero else self.val
             return PadicNumber.zero(p, self.val + other.val)
         prec = min(self.prec, other.prec)
         return PadicNumber(p, self.val + other.val,
@@ -214,35 +214,37 @@ def teichmuller(a, p, prec):
     return PadicNumber(p, 0, x, prec)
 
 
-def _log_one_plus(t, p, abs_prec):
-    """log(1+t) mod p^abs_prec for an integer t with ord_p(t) >= 1, p odd.
-
-    Series sum (-1)^(k+1) t^k / k; the k-th term has valuation
-    >= k - ord_p(k), so a few guard digits absorb the divisions by k.
-    """
-    assert t % p == 0
-    if t % p ** abs_prec == 0:
-        return 0
+@lru_cache(maxsize=None)
+def _log_coeffs(p, abs_prec):
+    """Integers b_kmax, ..., b_1 (highest first, for Horner's rule) with
+    log(1 + p*s) = sum b_k s^k mod p^abs_prec for every p-adic integer s:
+    b_k = (-1)^(k+1) p^k / k, integral since ord_p(k) < k.  The terms past
+    kmax have valuation >= k - ord_p(k) >= abs_prec."""
     kmax = abs_prec + 1
     while kmax - _intlog(kmax, p) < abs_prec:
         kmax += 1
-    guard = _intlog(kmax, p) + 1
-    m = p ** (abs_prec + guard)
-    total = 0
-    tk = 1
+    m = p ** abs_prec
+    coeffs = []
     for k in range(1, kmax + 1):
-        tk = tk * t % m
-        e = 0
-        kk = k
+        e, kk = 0, k
         while kk % p == 0:
             kk //= p
             e += 1
-        # t^k / k = p^(-e) * t^k / kk ; t^k is divisible by p^k >= p^e
-        term = tk * pow(kk, -1, m) % m
-        assert term % p ** e == 0
-        term //= p ** e
-        total = (total - term if k % 2 == 0 else total + term) % m
-    return total % p ** abs_prec
+        b = p ** (k - e) * pow(kk, -1, m) % m
+        coeffs.append(b if k % 2 else -b)
+    return tuple(reversed(coeffs))
+
+
+def log_unit(u, w_inv, p, n):
+    """log_p<u> mod p^n as an integer, for an integer unit u and the inverse
+    mod p^n of its Teichmuller lift: the integer core of log_iwasawa.
+    <u> = u w(u)^-1 = 1 + p s, and log(1 + p s) is a polynomial in s."""
+    m = p ** n
+    s = (u * w_inv - 1) % m // p
+    total = 0
+    for b in _log_coeffs(p, n):
+        total = (total + b) * s % m
+    return total
 
 
 def _intlog(n, p):
@@ -267,12 +269,9 @@ def log_iwasawa(x, p=None, prec=DEFAULT_PREC):
     if p == 2:
         raise NotImplementedError("p = 2 excluded from the logarithm pipeline")
     n = x.prec
-    u = x.unit % p ** n
-    w = teichmuller(u % p, p, n).unit
-    one_unit = u * pow(w, -1, p ** n) % p ** n  # <x> = 1 mod p
-    t = (one_unit - 1) % p ** n
-    val = _log_one_plus(t, p, n)
-    if val % p ** n == 0:
+    w = teichmuller(x.unit % p, p, n).unit
+    val = log_unit(x.unit, pow(w, -1, p ** n), p, n)
+    if val == 0:
         return PadicNumber.zero(p, n)
     return from_rational(val, p, n).truncate_abs(n)
 
@@ -283,15 +282,14 @@ def exp_p(x):
     if p == 2:
         raise NotImplementedError("p = 2 excluded")
     if x.is_zero:
-        one = PadicNumber(p, 0, 1, max(x.val, 1))
-        return one
+        return PadicNumber(p, 0, 1, max(x.val, 1))
     if x.val < 1:
         raise ValueError("exp_p requires ord(x) >= 1")
     n = x.abs_prec
     kmax = 1
     while kmax * x.val - (kmax - 1) // (p - 1) < n + 1:
         kmax += 1
-    guard = _intlog(_factorial_val(kmax, p, upper=True), p) + _intlog(kmax, p) + 2
+    guard = _factorial_val(kmax, p) + _intlog(kmax, p) + 2
     m = p ** (n + guard)
     t = x.unit * p ** x.val % m
     total = 1
@@ -311,7 +309,7 @@ def exp_p(x):
     return from_rational(total % p ** n, p, n).truncate_abs(n)
 
 
-def _factorial_val(k, p, upper=False):
+def _factorial_val(k, p):
     # ord_p(k!) = (k - s_p(k)) / (p-1) <= k/(p-1)
     return k // (p - 1) + 1
 

@@ -103,6 +103,7 @@ class ExceptionalZeroReport:
     total_mass: Fraction           # value of L_p at s = 0, exactly
     moment1_ratio: PadicNumber     # L_p'(0) / lam(0)
     l_inv: PadicNumber             # log(q_E) / ord(q_E)
+    bound_cert: int                # c with ord(mu) >= -c
     match_exp: int                 # the two agree mod p^match_exp
     ok: bool
 
@@ -125,4 +126,4 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     diff = (ratio - linv).truncate_abs(match_exp)
     ok = total == 0 and diff.is_zero
     return ExceptionalZeroReport(E.label, p, level, lam0, total, ratio,
-                                 linv, match_exp, ok)
+                                 linv, rep.bound_cert, match_exp, ok)

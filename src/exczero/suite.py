@@ -5,6 +5,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from inspect import signature
 
 from .characters import (
     Quasicharacter, all_primitive_characters, character_from_log,
@@ -241,15 +242,16 @@ def criterion_steinberg(seed=0, quick=False):
 
 # -- 6: zero-row-sum determinant identity --------------------------------------
 
-def criterion_determinant(seed=0, quick=False):
+def criterion_determinant(seed=0, quick=False, trials=None, kmax=4, mmax=5):
     rng = random.Random(seed)
-    trials = 200 if quick else 1000
+    if trials is None:
+        trials = 200 if quick else 1000
 
     def run():
         failures = 0
         for _ in range(trials):
-            k = rng.randint(1, 4)
-            m = rng.randint(k, 5)
+            k = rng.randint(1, kmax)
+            m = rng.randint(k, mmax)
             rows = []
             for _ in range(k):
                 row = [rng.randint(-9, 9) for _ in range(m - 1)]
@@ -314,8 +316,7 @@ def criterion_exceptional_zero(quick=False):
 
     def run():
         rep = exceptional_zero_report(E11, 11, level, prec=12)
-        mu = mtt_measure(E11, 11, level)
-        c = check_distribution_and_bound(mu).bound_cert
+        c = rep.bound_cert
         lp0_ok = rep.total_mass == 0  # hence 0 mod 11^(level - c)
         diff = (rep.moment1_ratio - rep.l_inv).truncate_abs(min(3, level - c))
         ok = rep.ok and lp0_ok and diff.is_zero
@@ -365,12 +366,7 @@ ALL_CRITERIA = [
 
 
 def run_suite(seed=0, quick=False):
-    results = []
-    for name, fn in ALL_CRITERIA:
-        if fn in (criterion_tree_identities, criterion_mellin_closed_form,
-                  criterion_steinberg, criterion_determinant,
-                  criterion_measure_engine):
-            results.append(fn(seed=seed, quick=quick))
-        else:
-            results.append(fn(quick=quick))
-    return results
+    """Every criterion at the given size, with the seed to those taking one."""
+    return [fn(quick=quick, **({"seed": seed} if "seed" in
+                               signature(fn).parameters else {}))
+            for _, fn in ALL_CRITERIA]

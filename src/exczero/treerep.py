@@ -9,6 +9,7 @@ from fractions import Fraction
 from .balls import P1Piece
 from .characters import AdditiveCharacterPsi
 from .cyclotomic import CValue
+from .linalg import solve
 from .padic import ord_p
 from .tree import (
     TreeEdge, act, ball_vertices, base_vertex, distance,
@@ -302,44 +303,13 @@ def in_image_T_minus_a(phi, a, R, center=None):
                 row[index[w]] += 1
         rows.append(row)
         rhs.append(phi(v))
-    sol = _solve_linear(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return MembershipResult("non-member")
     psi = VertexFunction(p, {v: sol[j] for v, j in index.items()})
     check = hecke_T(psi) - psi.scale(a)
     assert check == phi, "certificate failed re-evaluation"
     return MembershipResult("member", certificate=psi)
-
-
-def _solve_linear(rows, rhs):
-    """One exact solution of a (possibly non-square) system, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [rows[i][:] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [c * inv for c in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
 
 
 def solve_delta_preimage(phi, sign, R, center=None):
@@ -372,7 +342,7 @@ def solve_delta_preimage(phi, sign, R, center=None):
                 row[eidx[e]] += flip
         rows.append(row)
         rhs.append(phi(v))
-    sol = _solve_linear(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return None
     c = EdgeFunction(p, sign)

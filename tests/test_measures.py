@@ -162,3 +162,13 @@ def test_moment_matches_padic_reference():
                 ref = _reference_moment(mu, k, level, prec)
                 assert got.abs_prec == ref.abs_prec, (mu.p, k, prec)
                 assert _same(got, ref), (mu.p, k, prec, got, ref)
+
+
+def test_distribution_report_is_computed_once():
+    mu = dirac(5, 3, 2).scale(Fraction(3, 25))
+    rep = check_distribution_and_bound(mu)
+    assert rep.bound_cert == 2
+    moment(mu, 1, 3)
+    gamma_transform(mu, 5, 3)
+    vanishing_order(mu, 2, 3)
+    assert mu.report is rep and check_distribution_and_bound(mu) is rep

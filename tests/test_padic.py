@@ -63,6 +63,42 @@ def test_exp_log_roundtrip(p, k):
     assert exp_p(log_iwasawa(x)) == x
 
 
+def _exp_series_mod(x, p, digits):
+    """exp(x) mod p^digits for an integer x with ord_p(x) >= 1, from the
+    exact rational series; the terms left out, x^k / k! for the final k and
+    on, have valuation > k (ord x - 1/(p-1)) > digits."""
+    v = ord_p(x, p)
+    total, term, k = Fraction(0), Fraction(1), 0
+    while k * (v * (p - 1) - 1) <= digits * (p - 1):
+        total += term
+        k += 1
+        term = term * x / k
+    m = p ** digits
+    return total.numerator * pow(total.denominator, -1, m) % m
+
+
+def _check_exp_digits(x, p, prec):
+    y = exp_p(from_rational(x, p, prec))
+    assert y.abs_prec >= prec
+    assert y.residue_mod(y.abs_prec) == _exp_series_mod(x, p, y.abs_prec)
+
+
+def test_exp_claimed_digits_are_correct():
+    # before the guard-digit fix these claimed 21, 31 and 62 digits and had
+    # 16, 21 and 54 correct
+    for x, p, prec in ((3, 3, 20), (3, 3, 30), (36, 3, 60)):
+        _check_exp_digits(x, p, prec)
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(1, 10 ** 6),
+       st.integers(20, 60))
+@settings(max_examples=30, deadline=None)
+def test_exp_matches_exact_series(p, v, u, prec):
+    if u % p == 0:
+        u += 1
+    _check_exp_digits(p ** v * u, p, prec)
+
+
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 10 ** 4), st.integers(1, 10 ** 4))
 @settings(max_examples=40)
 def test_log_is_additive(p, a, b):
