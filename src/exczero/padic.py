@@ -10,7 +10,7 @@ from functools import lru_cache
 
 __all__ = [
     "PadicNumber", "ord_p", "from_rational", "teichmuller",
-    "log_iwasawa", "exp_p", "unit_root",
+    "log_iwasawa", "log_unit", "exp_p", "unit_root",
 ]
 
 DEFAULT_PREC = 20
