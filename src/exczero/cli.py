@@ -12,8 +12,11 @@ from .characters import (
 )
 from .curves import l_invariant, load_curve, reduction_type, tate_period
 from .localdist import mellin_mu_alpha, mellin_target
-from .measures import gamma_transform, load_measure, moment
-from .padic import DEFAULT_PREC
+from .measures import (
+    MAX_MOMENT, check_distribution_and_bound, gamma_transform, load_measure,
+    moment,
+)
+from .padic import DEFAULT_PREC, ord_p
 from .pipeline import exceptional_zero_report, total_mass_report
 from .steinberg import EllSpec, coboundary_check
 from .suite import criterion_determinant, run_suite
@@ -145,18 +148,29 @@ def cmd_detcheck(args, parser):
 
 
 def cmd_lp(args, parser):
-    mu = load_measure(args.measure)
-    if args.level > mu.N:
-        parser.error("--level exceeds the measure's maximal level")
+    try:
+        mu = load_measure(args.measure)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read measure file: {exc}")
+    if not 1 <= args.level <= mu.N:
+        parser.error(f"--level must lie in 1..{mu.N}, the measure's levels")
+    ok = check_distribution_and_bound(mu).ok
     if args.moments is not None:
+        if not 0 <= args.moments <= MAX_MOMENT:
+            parser.error(f"--moments must lie in 0..{MAX_MOMENT}")
         ms = [moment(mu, k, args.level) for k in range(args.moments + 1)]
-        return _emit(args, True, {
+        return _emit(args, ok, {
             "p": mu.p, "level": args.level,
             **{f"moment{k}": m for k, m in enumerate(ms)}})
-    s = Fraction(args.s)
+    try:
+        s = Fraction(args.s)
+    except (ValueError, ZeroDivisionError):
+        parser.error(f"bad --s value {args.s!r}")
+    if s != 0 and ord_p(s, mu.p) < 1:
+        parser.error("--s must be 0 or divisible by p")
     val, err = gamma_transform(mu, s, args.level)
-    return _emit(args, True, {"p": mu.p, "s": s, "level": args.level,
-                              "value": val, "err_exp": err})
+    return _emit(args, ok, {"p": mu.p, "s": s, "level": args.level,
+                            "value": val, "err_exp": err})
 
 
 def _load_curve_arg(args, parser):

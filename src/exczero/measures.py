@@ -14,12 +14,16 @@ from .padic import (
 __all__ = [
     "BallMeasure", "DistributionReport", "check_distribution_and_bound",
     "dirac", "gamma_transform", "moment", "vanishing_order",
-    "load_measure", "save_measure",
+    "load_measure", "save_measure", "MAX_MOMENT",
 ]
+
+MAX_MOMENT = 4  # the highest log-moment that moment computes
 
 
 class BallMeasure:
-    """values[(n, a)] = mu(a + p^n Z_p) for 1 <= n <= N, a a unit mod p^n.
+    """values[(n, a)] = mu(a + p^n Z_p) for 1 <= n <= N, a a unit mod p^n
+    in [0, p^n), with pn[n] = p^n.  A value is an int (a modular-symbol
+    measure is integer-valued) or else a Fraction.
 
     modulus = None means the values are exact rationals; modulus = m means
     they are only trusted mod p^m (the case of an irrational unit root
@@ -28,18 +32,20 @@ class BallMeasure:
 
     def __init__(self, p, N, values, modulus=None):
         assert p % 2 == 1
-        self.p = p
-        self.N = N
-        self.modulus = modulus
-        self.report = None
+        self.p, self.N, self.modulus, self.report = p, N, modulus, None
+        self.pn = pn = [p ** n for n in range(N + 1)]
         self.values = {}
         for (n, a), v in values.items():
             assert 1 <= n <= N and a % p != 0
-            self.values[(n, a % p ** n)] = Fraction(v)
+            self.values[(n, a % pn[n])] = v if type(v) is int else Fraction(v)
 
     def __call__(self, n, a):
         assert 1 <= n <= self.N
-        return self.values.get((n, a % self.p ** n), Fraction(0))
+        return self.values.get((n, a % self.pn[n]), 0)
+
+    def mass(self, level):
+        """mu(Z_p^*) as the sum of the values at the given level."""
+        return sum(v for (n, _), v in self.values.items() if n == level)
 
     def level_keys(self, n):
         p = self.p
@@ -52,7 +58,7 @@ class BallMeasure:
             mod = min(m for m in (self.modulus, other.modulus) if m is not None)
         out = dict(self.values)
         for k, v in other.values.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return BallMeasure(self.p, self.N, out, mod)
 
     def scale(self, t):
@@ -69,7 +75,7 @@ def dirac(p, N, at):
     for n in range(1, N + 1):
         m = p ** n
         r = at.numerator * pow(at.denominator, -1, m) % m
-        vals[(n, r)] = Fraction(1)
+        vals[(n, r)] = 1
     return BallMeasure(p, N, vals)
 
 
@@ -87,20 +93,20 @@ def check_distribution_and_bound(mu):
     on mu, so later calls return it at once."""
     if mu.report is not None:
         return mu.report
-    p = mu.p
+    p, vals = mu.p, mu.values
     failures = []
     for n in range(1, mu.N):
+        pn = mu.pn[n]
         for a in mu.level_keys(n):
-            coarse = mu(n, a)
-            fine = sum(mu(n + 1, a + b * p ** n) for b in range(p))
-            diff = coarse - fine
+            # the refinements a + b p^n, 0 <= b < p, are reduced mod p^(n+1)
+            diff = vals.get((n, a), 0) - sum(
+                vals.get((n + 1, a + b * pn), 0) for b in range(p))
             if diff != 0:
                 if mu.modulus is None or ord_p(diff, p) < mu.modulus:
                     failures.append((n, a))
-    worst = 0
-    for v in mu.values.values():
-        if v != 0:
-            worst = max(worst, -ord_p(v, p))
+    # only a value with p in its denominator has negative valuation
+    worst = max((-ord_p(v, p) for v in vals.values() if v.denominator % p == 0),
+                default=0)
     mu.report = DistributionReport(not failures, worst, failures)
     return mu.report
 
@@ -137,27 +143,30 @@ def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
 def moment(mu, k, level, prec=DEFAULT_PREC):
     """Riemann sum of (log_p<a>)^k against mu; the k-th Taylor coefficient
     of the Gamma-transform at s = 0 up to k!."""
-    assert 0 <= k <= 4
+    assert 0 <= k <= MAX_MOMENT
     p = mu.p
     assert 1 <= level <= mu.N
     if k == 0:
-        total = sum(mu(level, a) for a in mu.level_keys(level))
-        return from_rational(total, p, prec)
+        return from_rational(mu.mass(level), p, prec)
     c = check_distribution_and_bound(mu).bound_cert
     # the integrand varies by ord >= level + (k-1) on each ball, so the sum
     # is accurate to ord >= level + k - 1 - c (and mod p^modulus if set)
     err_exp = level + k - 1 - c
     if mu.modulus is not None:
         err_exp = min(err_exp, mu.modulus - c)
-    w_inv = [None] + [pow(teichmuller(r, p, prec).unit, -1, p ** prec)
-                      for r in range(1, p)]
-    terms = [(w, log_unit(a, w_inv[a % p], p, prec))
-             for (n, a), w in mu.values.items() if n == level and w != 0]
     # log<a> is known mod p^prec, so the term w log<a>^k is known to
     # ord >= prec + ord(w) + (k-1) ord(log<a>), or prec k + ord(w) when
-    # log<a> = 0 mod p^prec; every such bound is >= prec - c
+    # log<a> = 0 mod p^prec; every such bound is >= prec - c.  When
+    # abs_prec is at most that, the sum is taken mod p^(abs_prec + c) and
+    # needs log<a> only to abs_prec + c digits.
     abs_prec = min(err_exp, prec)
-    if abs_prec > prec - c:
+    refine = abs_prec > prec - c
+    digits = prec if refine else abs_prec + c
+    w_inv = [None] + [pow(teichmuller(r, p, digits).unit, -1, p ** digits)
+                      for r in range(1, p)]
+    terms = [(w, log_unit(a, w_inv[a % p], p, digits))
+             for (n, a), w in mu.values.items() if n == level and w != 0]
+    if refine:
         for w, lg in terms:
             lg_prec = prec * k if lg == 0 else prec + (k - 1) * ord_p(lg, p)
             abs_prec = min(abs_prec, ord_p(w, p) + lg_prec)
@@ -165,8 +174,9 @@ def moment(mu, k, level, prec=DEFAULT_PREC):
     m, scale = p ** (abs_prec + c), p ** c
     total = 0
     for w, lg in terms:
-        w = w * scale if w.denominator > 1 else w.numerator * scale
-        total += w.numerator * pow(w.denominator, -1, m) * pow(lg, k, m)
+        w *= scale
+        w = w if type(w) is int else w.numerator * pow(w.denominator, -1, m)
+        total += w * pow(lg, k, m)
     return from_rational(Fraction(total % m, scale), p,
                          abs_prec + c).truncate_abs(abs_prec)
 
@@ -185,20 +195,35 @@ def vanishing_order(mu, r_max, level, prec=DEFAULT_PREC):
 
 
 def save_measure(mu, path):
+    """Write mu as a header 'p N c', followed by the modulus when mu has
+    one, then one line 'n a value' per ball."""
     c = check_distribution_and_bound(mu).bound_cert
     with open(path, "w") as fh:
-        fh.write(f"{mu.p} {mu.N} {c}\n")
+        mod = "" if mu.modulus is None else f" {mu.modulus}"
+        fh.write(f"{mu.p} {mu.N} {c}{mod}\n")
         for (n, a), v in sorted(mu.values.items()):
-            fh.write(f"{n} {a} {v.numerator}/{v.denominator}\n")
+            fh.write(f"{n} {a} {v}\n")
 
 
 def load_measure(path):
+    """Read a measure written by save_measure (a header without a modulus
+    is an exact measure); integer values come back as ints.  Raises
+    OSError for an unreadable file and ValueError for a malformed one."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    p, N, _c = (int(x) for x in lines[0].split())
-    vals = {}
-    for ln in lines[1:]:
-        n, a, frac = ln.split()
-        num, _, den = frac.partition("/")
-        vals[(int(n), int(a))] = Fraction(int(num), int(den or 1))
-    return BallMeasure(p, N, vals)
+        rows = [ln.split() for ln in fh if ln.strip()]
+    try:
+        if not rows or len(rows[0]) not in (3, 4):
+            raise ValueError("header must be 'p N c [modulus]'")
+        p, N, _c, *mod = (int(x) for x in rows[0])
+        if p < 3 or p % 2 == 0 or N < 1:
+            raise ValueError("needs an odd p and N >= 1")
+        vals = {}
+        for row in rows[1:]:
+            n, a, v = row
+            n, a, v = int(n), int(a), Fraction(v)
+            if not (1 <= n <= N and a % p):
+                raise ValueError(f"no unit ball ({n}, {a})")
+            vals[(n, a)] = v.numerator if v.denominator == 1 else v
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: malformed measure: {exc}") from None
+    return BallMeasure(p, N, vals, *mod)

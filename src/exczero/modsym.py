@@ -71,25 +71,6 @@ def heilbronn_matrices(n):
                         yield a, b, bc // b, d
 
 
-def _cf_symbols(r):
-    """Bottom rows (c, d) of the unimodular matrices whose translates of
-    the path from 0 to infinity chain from infinity to r (an int or a
-    Fraction): the convergent denominators, by Euclid on r's numerator
-    and denominator."""
-    n, d = r.numerator, r.denominator
-    syms = []
-    q_prev2, q_prev = 1, 0  # q_{-2}, q_{-1}
-    sign = 1                # (-1)^(k-1) for k = 0
-    while True:
-        a, n = divmod(n, d)
-        q = a * q_prev + q_prev2
-        syms.append((q, sign * q_prev))
-        if n == 0:
-            return syms
-        n, d = d, n
-        q_prev2, q_prev, sign = q_prev, q, -sign
-
-
 class ModularSymbolSpace:
     """The weight-two Manin symbol quotient for Gamma_0(N), carrying the
     dual eigensymbol of a fixed elliptic curve."""
@@ -190,9 +171,23 @@ class ModularSymbolSpace:
 
     def lam(self, r):
         """The eigensymbol paired with the path from infinity to r, an int
-        or a Fraction."""
+        or a Fraction: the sum over the unimodular matrices whose translates
+        of the path from 0 to infinity chain from infinity to r.  Their
+        bottom rows (q_k, (-1)^(k-1) q_(k-1)) are the convergent
+        denominators, by Euclid on r's numerator and denominator."""
         N, table = self.N, self._lam_by_row
-        return sum(table[c % N * N + d % N] for c, d in _cf_symbols(r))
+        n, d = r.numerator, r.denominator
+        q_prev2, q_prev = 1, 0  # q_{-2}, q_{-1}
+        sign = 1                # (-1)^(k-1) for k = 0
+        total = 0
+        while True:
+            a, n = divmod(n, d)
+            q = a * q_prev + q_prev2
+            total += table[q % N * N + sign * q_prev % N]
+            if n == 0:
+                return total
+            n, d = d, n
+            q_prev2, q_prev, sign = q_prev, q, -sign
 
     def lam_zero(self):
         return self.lam_sym[self.p1.index((1, 0))]

@@ -17,13 +17,13 @@ DEFAULT_PREC = 20
 
 
 def ord_p(x, p):
-    """Additive p-adic valuation of an integer or Fraction; None for zero."""
+    """Additive p-adic valuation of an integer or Fraction (both carry
+    numerator and denominator); None for zero."""
     if isinstance(x, PadicNumber):
         return x.val
-    x = Fraction(x)
-    if x == 0:
-        return None
     num, den = x.numerator, x.denominator
+    if num == 0:
+        return None
     v = 0
     while num % p == 0:
         num //= p

@@ -35,22 +35,19 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
         mod = p ** prec
         ainv = int(unit_root(a, p, prec).inverse().unit_mod(prec))
         for n in range(1, level + 1):
-            pn = p ** n
+            pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
             for x in range(1, pn):
-                if x % p == 0:
-                    continue
-                v = (pow(ainv, n, mod) * msym.lam(Fraction(x, pn))
-                     - pow(ainv, n + 1, mod) * msym.lam(Fraction(x, pn // p)))
-                vals[(n, x)] = Fraction(v % mod)
+                if x % p:
+                    v = (c0 * msym.lam(Fraction(x, pn))
+                         - c1 * msym.lam(Fraction(x, pn // p)))
+                    vals[(n, x)] = v % mod
         return BallMeasure(p, level, vals, modulus=prec)
     a = 1 if kind == "split" else -1
     for n in range(1, level + 1):
-        pn = p ** n
+        pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
         for x in range(1, pn):
-            if x % p == 0:
-                continue
-            # alpha^-n = a^n for a = +-1
-            vals[(n, x)] = Fraction(a ** n * msym.lam(Fraction(x, pn)))
+            if x % p:
+                vals[(n, x)] = sign * msym.lam(Fraction(x, pn))
     return BallMeasure(p, level, vals)
 
 
@@ -59,7 +56,7 @@ class TotalMassReport:
     label: str
     p: int
     kind: str
-    total: Fraction   # mu(Z_p^*), unnormalized
+    total: int        # mu(Z_p^*), unnormalized
     lam_zero: int
     ratio: Fraction   # total / lam(0)
     predicted: Fraction
@@ -75,7 +72,7 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
     mu = mtt_measure(E, p, level, prec, msym)
     rep = check_distribution_and_bound(mu)
     assert rep.ok, "distribution relation failed"
-    total = sum(mu(level, a) for a in mu.level_keys(level))
+    total = mu.mass(level)
     lam0 = msym.lam_zero()
     kind = reduction_type(E, p)
     ratio = Fraction(total, lam0)
@@ -100,7 +97,7 @@ class ExceptionalZeroReport:
     p: int
     level: int
     lam_zero: int
-    total_mass: Fraction           # value of L_p at s = 0, exactly
+    total_mass: int                # value of L_p at s = 0, exactly
     moment1_ratio: PadicNumber     # L_p'(0) / lam(0)
     l_inv: PadicNumber             # log(q_E) / ord(q_E)
     bound_cert: int                # c with ord(mu) >= -c
@@ -118,7 +115,7 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     rep = check_distribution_and_bound(mu)
     assert rep.ok, "distribution relation failed"
     lam0 = msym.lam_zero()
-    total = sum(mu(level, a) for a in mu.level_keys(level))
+    total = mu.mass(level)
     m1 = moment(mu, 1, level, prec)
     ratio = m1 * Fraction(1, lam0)
     linv = l_invariant(E, p, prec)

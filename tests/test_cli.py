@@ -62,6 +62,37 @@ def test_lp_roundtrip(tmp_path, capsys):
     assert code == 0 and "moment1" in out
 
 
+def test_lp_status_follows_distribution_check(tmp_path, capsys):
+    from exczero.measures import BallMeasure, dirac, save_measure
+    mu = dirac(5, 3, 2)
+    vals = dict(mu.values)
+    vals[(3, 7)] = 1  # a second point at level 3 only
+    path = tmp_path / "bad.txt"
+    save_measure(BallMeasure(5, 3, vals), path)
+    for extra in (["--s", "5"], ["--moments", "1"]):
+        code, out = run(["lp", "--measure", str(path), "--level", "2",
+                         *extra], capsys)
+        assert code == 1 and out.startswith("FAIL")
+
+
+def test_lp_bad_input_exits_2(tmp_path):
+    from exczero.measures import dirac, save_measure
+    good = tmp_path / "mu.txt"
+    save_measure(dirac(5, 3, 2), good)
+    malformed = tmp_path / "bad.txt"
+    malformed.write_text("5 3 0\n1 2 one\n")
+    for argv in (["--measure", str(tmp_path / "missing.txt")],
+                 ["--measure", str(malformed)],
+                 ["--measure", str(good), "--level", "0"],
+                 ["--measure", str(good), "--level", "4"],
+                 ["--measure", str(good), "--moments", "5"],
+                 ["--measure", str(good), "--s", "x"],
+                 ["--measure", str(good), "--s", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lp", *argv])
+        assert exc.value.code == 2, argv
+
+
 def test_ezero_report(capsys):
     code, out = run(["ezero", "--curve", CURVE11, "--p", "11",
                      "--level", "2", "--prec", "8"], capsys)

@@ -82,3 +82,60 @@ def test_l_invariant_requires_split():
         l_invariant(E15, 3)
     L = l_invariant(E15, 5, prec=10)
     assert not L.is_zero or L.val >= 9
+
+
+def _divisor_sum(n, r):
+    return sum(d ** r for d in range(1, n + 1) if n % d == 0)
+
+
+def _series_product(a, b, K):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(K + 1)]
+
+
+def _q_times_j(K):
+    """Integer coefficients w_0..w_K of q j(q) = E4^3 / (Delta / q), with
+    Delta from 1728 Delta = E4^3 - E6^2 (not from the eta product)."""
+    e4 = [1] + [240 * _divisor_sum(n, 3) for n in range(1, K + 2)]
+    e6 = [1] + [-504 * _divisor_sum(n, 5) for n in range(1, K + 2)]
+    e4_cubed = _series_product(_series_product(e4, e4, K + 1), e4, K + 1)
+    e6_squared = _series_product(e6, e6, K + 1)
+    delta = [(x - y) // 1728 for x, y in zip(e4_cubed, e6_squared)]
+    assert delta[:3] == [0, 1, -24]
+    inv = [1] + [0] * K  # 1 / (Delta / q), whose constant term is 1
+    for k in range(1, K + 1):
+        inv[k] = -sum(delta[i + 1] * inv[k - i] for i in range(1, k + 1))
+    return _series_product(e4_cubed, inv, K)
+
+
+def _tate_period_mod(j, p, digits):
+    """q_E mod p^digits by Newton's method on F(q) = q j(q) / j - q in the
+    integers mod p^digits: 1 / j and q lie in p^m Z_p (m = -ord_p(j)), so
+    q^k vanishes for k > digits / m, and F'(q) = -1 mod p."""
+    m, M = -ord_p(j, p), p ** digits
+    w = _q_times_j(digits // m + 1)
+    assert w[:3] == [1, 744, 196884]
+    t = j.denominator * pow(j.numerator, -1, M) % M
+
+    def value_and_slope(q):
+        val = slope = 0
+        for c in reversed(w):
+            slope = (slope * q + val) % M
+            val = (val * q + c) % M
+        return (t * val - q) % M, (t * slope - 1) % M
+
+    q = t
+    for _ in range(digits):
+        f, df = value_and_slope(q)
+        if f == 0:
+            return q
+        q = (q - f * pow(df, -1, M)) % M
+    raise AssertionError("Newton's method did not converge")
+
+
+@pytest.mark.parametrize("E, p", [(E11, 11), (E15, 5), (E15, 3)])
+@pytest.mark.parametrize("prec", [20, 41, 60])
+def test_tate_period_claimed_digits_are_correct(E, p, prec):
+    q = tate_period(E, p, prec)
+    assert q.val == -ord_p(E.j, p) and q.abs_prec >= prec
+    ref = _tate_period_mod(E.j, p, q.abs_prec + 5)
+    assert q.residue_mod(q.abs_prec) == ref % p ** q.abs_prec

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from exczero.measures import (
     BallMeasure, check_distribution_and_bound, dirac, gamma_transform,
     load_measure, moment, save_measure, vanishing_order,
@@ -101,12 +103,72 @@ def test_moments_are_taylor_coefficients():
 
 
 def test_file_roundtrip(tmp_path):
-    mu = dirac(5, 3, 2).scale(Fraction(3, 25)) + dirac(5, 3, 7).scale(-1)
+    exact = dirac(5, 3, 2).scale(Fraction(3, 25)) + dirac(5, 3, 7).scale(-1)
+    approx = mtt_measure(E11, 3, 3, prec=6)  # modulus 6, integer values
     path = tmp_path / "m.txt"
-    save_measure(mu, path)
-    back = load_measure(path)
-    assert back.p == mu.p and back.N == mu.N
-    assert back.values == mu.values
+    for mu in (exact, approx):
+        save_measure(mu, path)
+        back = load_measure(path)
+        assert (back.p, back.N, back.modulus) == (mu.p, mu.N, mu.modulus)
+        assert back.values == mu.values
+        rep = check_distribution_and_bound(back)
+        assert rep.ok and rep == check_distribution_and_bound(mu)
+        for k in range(1, 3):
+            assert _same(moment(back, k, 3, 8), moment(mu, k, 3, 8))
+    assert back.modulus == 6
+    assert all(type(v) is int for v in back.values.values())
+
+
+def test_load_reads_three_field_header_as_exact(tmp_path):
+    # the format before the modulus was saved, every value as num/den;
+    # mu(2 + 5Z_5) = -1 = 3/5 - 8/5, the sum over its refinements
+    path = tmp_path / "old.txt"
+    path.write_text("5 2 1\n1 2 -1/1\n2 7 3/5\n2 12 -8/5\n")
+    mu = load_measure(path)
+    assert (mu.p, mu.N, mu.modulus) == (5, 2, None)
+    assert mu.values == {(1, 2): -1, (2, 7): Fraction(3, 5),
+                         (2, 12): Fraction(-8, 5)}
+    assert type(mu.values[(1, 2)]) is int
+    rep = check_distribution_and_bound(mu)
+    assert rep.ok and rep.bound_cert == 1
+
+
+def test_load_rejects_malformed(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in ("", "5 2\n", "5 2 0 3 1\n", "x 2 0\n", "4 2 0\n",
+                 "5 2 0\n1 2\n", "5 2 0\n1 2 x\n", "5 2 0\n1 2 1/0\n",
+                 "5 2 0\n3 2 1\n", "5 2 0\n1 5 1\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_measure(path)
+
+
+def _with_fraction_values(mu):
+    vals = {k: Fraction(v) for k, v in mu.values.items()}
+    return BallMeasure(mu.p, mu.N, vals, mu.modulus)
+
+
+def test_distribution_check_same_on_int_and_fraction_values():
+    good = mtt_measure(E11, 11, 3)
+    vals = dict(good.values)
+    vals[(3, 5)] += 1
+    vals[(2, 40)] -= 11
+    bad = BallMeasure(11, 3, vals)
+    approx = mtt_measure(E11, 3, 3, prec=6)
+    scaled = good.scale(Fraction(1, 121))
+    for mu in (good, bad, approx, scaled):
+        copy = _with_fraction_values(mu)
+        assert all(type(v) is Fraction for v in copy.values.values())
+        got = check_distribution_and_bound(mu)
+        want = check_distribution_and_bound(copy)
+        assert (got.ok, got.bound_cert, got.failures) == \
+            (want.ok, want.bound_cert, want.failures)
+    assert check_distribution_and_bound(good).ok
+    # (3, 5) breaks its parent (2, 5); (2, 40) breaks itself and (1, 7)
+    assert check_distribution_and_bound(bad).failures == \
+        [(1, 7), (2, 5), (2, 40)]
+    assert check_distribution_and_bound(approx).ok
+    assert check_distribution_and_bound(scaled).bound_cert == 2
 
 
 def test_modulus_relaxes_distribution_check():

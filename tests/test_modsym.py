@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from exczero.curves import EllipticCurve, ap
-from exczero.modsym import ModularSymbolSpace, P1, _cf_symbols, heilbronn_matrices
+from exczero.modsym import ModularSymbolSpace, P1, heilbronn_matrices
 
 E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
 E15 = EllipticCurve("15a1", 15, 1, 1, 1, -10, -10)
@@ -56,14 +56,17 @@ def test_heilbronn_determinants():
         assert len(mats) == len(set(mats))
 
 
-def test_cf_symbols_integer_and_chain():
-    assert _cf_symbols(0) == [(1, 0)]
-    assert _cf_symbols(7) == [(1, 0)]
-    # bottom rows come from unimodular matrices: successive q's are the
-    # continued fraction denominators of the target
-    syms = _cf_symbols(Fraction(3, 7))
-    assert syms[0] == (1, 0)
-    assert syms[-1][0] == 7
+def test_lam_integer_and_chain(M11, M15):
+    for M in (M11, M15):
+        # an integer is reached by the single symbol with bottom row (1, 0)
+        for r in (0, 7, -3, Fraction(7)):
+            assert M.lam(r) == M.lam_zero()
+        # each convergent adds the symbol with bottom row (q_k, +-q_(k-1)):
+        # 3/7 = [0; 2, 3] has convergents 0, 1/2, 3/7
+        sym = M.lam_sym
+        assert M.lam(Fraction(1, 2)) - M.lam(0) == sym[M.p1.index((2, -1))]
+        assert (M.lam(Fraction(3, 7)) - M.lam(Fraction(1, 2))
+                == sym[M.p1.index((7, 2))])
 
 
 def test_manin_relations_hold(M11):

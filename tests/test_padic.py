@@ -16,6 +16,34 @@ def test_ord_basic():
     assert ord_p(0, 5) is None
 
 
+def _ord_p_by_fraction(x, p):
+    """ord_p as it was computed before ints were read directly: through a
+    Fraction conversion."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    num, den = x.numerator, x.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]),
+       st.one_of(st.integers(-10 ** 12, 10 ** 12), st.fractions()),
+       st.integers(-6, 6))
+@settings(max_examples=200)
+def test_ord_p_matches_fraction_reference(p, x, e):
+    # shift by p^e so that high valuations of both signs occur; an int
+    # stays an int for e >= 0
+    x = x * p ** e if e >= 0 else Fraction(x, p ** -e)
+    assert ord_p(x, p) == _ord_p_by_fraction(x, p)
+
+
 def test_teichmuller_frozen_values():
     # oracle: iterate x -> x^p to a fixed point
     assert teichmuller(1, 5, 3).unit == 1
@@ -161,3 +189,66 @@ def test_angle_bracket_is_one_mod_p():
             w = teichmuller(a % p, p, 5)
             bracket = from_rational(a, p, 5) / w
             assert bracket.unit % p == 1
+
+
+def _ilog(k, p):
+    """The largest e with p^e <= k."""
+    e = 0
+    while p ** (e + 1) <= k:
+        e += 1
+    return e
+
+
+def _log_series_mod(x, p, digits):
+    """log_p<x> mod p^digits for a nonzero rational x, from the exact
+    rational series: with u the unit part of x, log<x> = log(u^(p-1)) / (p-1)
+    (the torsion part of u dies in the (p-1)-st power, and log p = 0), and
+    log(1 + z) only depends on z mod p^digits.  The terms left out, z^k / k
+    from the final k on, have valuation >= k - ord_p(k) >= digits."""
+    m = p ** digits
+    u = Fraction(x) / Fraction(p) ** ord_p(x, p)
+    z = u ** (p - 1) - 1
+    z = z.numerator * pow(z.denominator, -1, m) % m
+    total, k = Fraction(0), 1
+    while k - _ilog(k, p) < digits:
+        total += Fraction((-1) ** (k + 1) * z ** k, k)
+        k += 1
+    total /= p - 1
+    return total.numerator * pow(total.denominator, -1, m) % m
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-2, 2),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3),
+       st.integers(20, 60))
+@settings(max_examples=40, deadline=None)
+def test_log_claimed_digits_are_correct(p, v, num, den, prec):
+    num = num + 1 if num % p == 0 else num
+    den = den + 1 if den % p == 0 else den
+    x = Fraction(num, den) * Fraction(p) ** v
+    y = log_iwasawa(x, p, prec)
+    assert y.abs_prec >= prec
+    assert y.residue_mod(y.abs_prec) == _log_series_mod(x, p, y.abs_prec)
+
+
+def _unit_root_mod(a_p, p, digits):
+    """The unit root alpha of X^2 - a_p X + p mod p^digits, as c_digits /
+    c_(digits-1) for c_0 = 1, c_1 = a_p, c_(k+1) = a_p c_k - p c_(k-1).
+    With beta = p / alpha, c_k = (alpha^(k+1) - beta^(k+1)) / (alpha - beta)
+    is a p-adic unit, and c_(k+1) / c_k = alpha (1 + O(p^(k+1)))."""
+    c_prev, c = 1, a_p
+    for _ in range(digits - 1):
+        c_prev, c = c, a_p * c - p * c_prev
+    m = p ** digits
+    return c * pow(c_prev, -1, m) % m
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-50, 50),
+       st.integers(20, 60))
+@settings(max_examples=40, deadline=None)
+def test_unit_root_claimed_digits_are_correct(p, a_p, prec):
+    if a_p % p == 0:
+        a_p += 1
+    alpha = unit_root(a_p, p, prec)
+    assert alpha.abs_prec >= prec
+    assert alpha.residue_mod(alpha.abs_prec) == _unit_root_mod(
+        a_p, p, alpha.abs_prec)

@@ -30,6 +30,14 @@ def test_measure_distribution_multiplicative():
         assert all(v.denominator == 1 for v in mu.values.values())
 
 
+def test_measure_values_are_ints():
+    for E, p, kind in ((E11, 11, "split"), (E15, 3, "nonsplit"),
+                       (E11, 3, "good")):
+        mu = mtt_measure(E, p, 3, prec=6)
+        assert len(mu.values) == (p - 1) * (1 + p + p * p), kind
+        assert all(type(v) is int for v in mu.values.values()), kind
+
+
 def test_measure_rejects_additive():
     E = EllipticCurve("27a1", 27, 0, 0, 1, 0, -7)
     with pytest.raises(AssertionError):
