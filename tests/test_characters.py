@@ -9,6 +9,8 @@ from exczero.characters import (
     mellin_closed_form, trivial_character,
 )
 from exczero.cyclotomic import CValue, zeta
+from exczero.localdist import mellin_mu_alpha, unit_psi_chi_integral
+from exczero.padic import ord_p
 
 
 def test_psi_trivial_on_Zp():
@@ -113,3 +115,78 @@ def test_quasicharacter_value_includes_uniformizer():
     chi = legendre_character(5, t=Fraction(3))
     assert chi(Fraction(50)) == CValue.exact(9) * chi.value_at_unit(2)
     assert chi(Fraction(1, 5)) == CValue.exact(Fraction(1, 3))
+
+
+# -- the unit character sum against per-residue reference loops --------------
+
+def _psi_reference(p, x):
+    """psi(x) = zeta_(p^k)^b for the class b / p^k of x in Q_p / Z_p."""
+    x = Fraction(x)
+    den, k = x.denominator, 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if k == 0:
+        return CValue.exact(1)
+    return zeta(p ** k, x.numerator * pow(den, -1, p ** k) % p ** k)
+
+
+def _exact_sum(values):
+    """The sum of exact CValues, added in pairs (the result is exact, so the
+    order only keeps each addition small)."""
+    while len(values) > 1:
+        values = [sum(values[i:i + 2], CValue.exact(0))
+                  for i in range(0, len(values), 2)]
+    return values[0] if values else CValue.exact(0)
+
+
+def _unit_integral_reference(chi, a):
+    """The mean of psi(a u) chi(u) over the units u mod p^m, one residue at a
+    time, at the least level m >= max(f, -ord(a), 1)."""
+    p = chi.p
+    m = max(chi.f, -ord_p(a, p) if a != 0 else 0, 1)
+    terms = [_psi_reference(p, a * u) * chi.value_at_unit(u)
+             for u in range(1, p ** m) if u % p]
+    return _exact_sum(terms) * Fraction(1, len(terms))
+
+
+def _gauss_sum_reference(chi):
+    """sum over the units u mod p^f of psi(u / p^f) chi(u), times t^-f."""
+    if chi.f == 0:
+        return CValue.exact(1)
+    p, q = chi.p, chi.p ** chi.f
+    return _exact_sum([_psi_reference(p, Fraction(u, q)) * chi.value_at_unit(u)
+                       for u in range(1, q) if u % p]) * chi.t ** (-chi.f)
+
+
+ORACLE_CASES = [
+    *((p, f, i) for p, f in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2))
+      for i in range(len(all_primitive_characters(p, f)))),
+    *((p, 0, 0) for p in (2, 3, 7)),
+]
+
+
+def _oracle_character(p, f, i):
+    return all_primitive_characters(p, f)[i] if f else trivial_character(p)
+
+
+@pytest.mark.parametrize("p,f,i", ORACLE_CASES)
+def test_unit_integral_and_gauss_sum_match_reference(p, f, i):
+    chi = _oracle_character(p, f, i)
+    assert gauss_sum(chi) == _gauss_sum_reference(chi)
+    for u in (1, 2, p + 1):
+        for k in range(-(f + 2), 2):
+            a = Fraction(u) * Fraction(p) ** k
+            assert unit_psi_chi_integral(chi, a) \
+                == _unit_integral_reference(chi, a), (u, k)
+
+
+@pytest.mark.parametrize("p,f,i", ORACLE_CASES)
+def test_float_shell_sum_matches_exact(p, f, i):
+    chi = _oracle_character(p, f, i)
+    for alpha in (1, -1, Fraction(1, 2)):
+        exact = mellin_mu_alpha(chi, alpha, n_max=8, exact=True)
+        approx = mellin_mu_alpha(chi, alpha, n_max=8, exact=False)
+        assert abs(approx.value.to_complex()
+                   - exact.value.to_complex()) <= 1e-12
+        assert approx.tail_bound == exact.tail_bound
