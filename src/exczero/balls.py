@@ -42,9 +42,6 @@ class Ball:
     def contains(self, x):
         return reduce_mod_power(Fraction(x) - self.center, self.depth, self.p) == 0
 
-    def contains_ball(self, other):
-        return other.depth >= self.depth and self.contains(other.center)
-
     def children(self):
         p = self.p
         return [Ball(p, self.center + i * Fraction(p) ** self.depth, self.depth + 1)
@@ -198,13 +195,6 @@ class BallFunction:
             else:
                 out.extend((bb, c) for bb in b.additive_pieces())
         return out
-
-    def refine_once(self):
-        """Replace every additive ball by its p children (test helper)."""
-        out = []
-        for b, c in self.additive_pieces():
-            out.extend((bb, c) for bb in b.children())
-        return BallFunction(self.p, out)
 
     def __repr__(self):
         return f"BallFunction({self.pieces!r})"

@@ -1,14 +1,17 @@
-"""Quasicharacters of Q_p^*, the additive character psi, Gauss sums, the
-closed-form Mellin integral, local L-factors, and the Euler factors e(alpha, chi)."""
+"""Quasicharacters of Q_p^*, the additive character psi, the exact unit
+character sum and Gauss sums, the closed-form Mellin integral, local
+L-factors, and the Euler factors e(alpha, chi)."""
 
-import cmath
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import CValue, zeta
+from .cyclotomic import Cyclotomic, CValue, zeta
 from .padic import ord_p
 
 __all__ = [
-    "AdditiveCharacterPsi", "Quasicharacter", "gauss_sum",
+    "AdditiveCharacterPsi", "Quasicharacter", "unit_psi_chi_integral",
+    "gauss_sum",
     "mellin_closed_form", "euler_factor", "local_L",
     "trivial_character", "character_from_log", "all_primitive_characters",
     "legendre_character", "primitive_root",
@@ -24,24 +27,19 @@ class AdditiveCharacterPsi:
     def __init__(self, p):
         self.p = p
 
-    def __call__(self, x, exact=True):
-        x = Fraction(x)
-        p = self.p
-        den = x.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        if k == 0:
-            return CValue.exact(1)
-        # x = a / (p^k * m) with gcd(m, p) = 1; the class of x in Q_p/Z_p
-        # is b / p^k with b = a * m^{-1} mod p^k
-        a = x.numerator
-        m = den
-        b = a * pow(m, -1, p ** k) % p ** k
-        if not exact:
-            return CValue.from_float(cmath.exp(2j * cmath.pi * b / p ** k))
-        return zeta(p ** k, b)
+    def __call__(self, x):
+        return zeta(*_psi_class(self.p, x))
+
+
+def _psi_class(p, x):
+    """(p^k, b) with x = b / p^k in Q_p/Z_p, 0 <= b < p^k; so psi(x) is
+    zeta_(p^k)^b, and p^k = 1 for x in Z_p."""
+    x = Fraction(x)
+    den, pk = x.denominator, 1
+    while den % p == 0:
+        den //= p
+        pk *= p
+    return pk, x.numerator * pow(den, -1, pk) % pk
 
 
 def primitive_root(p, f):
@@ -104,9 +102,6 @@ class Quasicharacter:
     def at_minus_one(self):
         return self.value_at_unit(-1)
 
-    def is_unramified(self):
-        return self.f == 0
-
     def __repr__(self):
         return f"Quasicharacter(p={self.p}, f={self.f}, t={self.t!r})"
 
@@ -166,24 +161,48 @@ def legendre_character(p, t=1):
     return character_from_log(p, 1, (p - 1) // 2, t)
 
 
-def gauss_sum(chi, psi=None, exact=True):
-    """tau(chi) = sum over unit residues u mod p^f of psi(u/p^f) chi(u/p^f).
+def unit_psi_chi_integral(chi, a):
+    """int over U of psi(a u) chi(u) d*u (vol(U) = 1), exactly.
+
+    With a = b / p^k in Q_p/Z_p, psi(a u) = zeta_(p^k)^(b u) is constant
+    mod p^k and chi(u) mod p^f.  For k <= m = max(f, 1) the mean runs over
+    the units mod p^m, counted in integers by (u mod p^f, b u mod p^k); the
+    result is built once, at the level L of zeta_(p^k) and of chi's values,
+    with one Fraction per distinct count."""
+    p = chi.p
+    pk, b = _psi_class(p, a)
+    pf = p ** chi.f
+    pm = max(pf, p)
+    if pk > pm:
+        # u -> u + p^(k-1) j fixes chi(u) and turns psi(a u) through every
+        # p-th root of unity, so the mean is 0
+        return CValue.exact(0)
+    counts = Counter((u % pf, b * u % pk) for u in range(1, pm) if u % p)
+    keys = {key for key, _ in counts}
+    values = {key: chi.value_at_unit(key).val for key in keys}
+    L = lcm(pk, *(v.level for v in values.values()))
+    sums = {}
+    for (key, e), n in counts.items():
+        v = values[key]
+        step, vstep = L // pk, L // v.level
+        for ev, c in v.terms.items():
+            x = (e * step + ev * vstep) % L
+            sums[x] = sums.get(x, 0) + n * c
+    units = pm - pm // p
+    means = {c: Fraction(c, units) for c in set(sums.values())}
+    return CValue.exact(Cyclotomic._of(
+        L, {x: means[c] for x, c in sums.items() if c}))
+
+
+def gauss_sum(chi):
+    """tau(chi) = sum over unit residues u mod q = p^f of psi(u/q) chi(u),
+    times t^-f: phi(q) times the unit integral at a = 1/q.
 
     Normalized so that tau of an unramified character is 1.
     """
-    p = chi.p
-    if psi is None:
-        psi = AdditiveCharacterPsi(p)
-    if chi.f == 0:
-        return CValue.exact(1)
-    q = p ** chi.f
-    a = Fraction(1, q)  # ord(a) = -f
-    total = CValue.exact(0)
-    for u in range(1, q):
-        if u % p == 0:
-            continue
-        total = total + psi(a * u, exact=exact) * chi.value_at_unit(u)
-    return total * chi.t ** (-chi.f)
+    q = chi.p ** chi.f
+    return unit_psi_chi_integral(chi, Fraction(1, q)) * (q - q // chi.p) \
+        * chi.t ** (-chi.f)
 
 
 def mellin_closed_form(chi):

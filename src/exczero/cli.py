@@ -3,7 +3,6 @@ machine-readable PASS/FAIL line, or JSON with --format json."""
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -18,15 +17,17 @@ from .measures import (
 )
 from .padic import DEFAULT_PREC, ord_p
 from .pipeline import exceptional_zero_report, total_mass_report
-from .steinberg import EllSpec, coboundary_check
-from .suite import criterion_determinant, run_suite
+from .suite import (
+    criterion_determinant, criterion_steinberg, criterion_tree_identities,
+    run_suite,
+)
 from .tree import ball_of_vertex, ball_vertices, neighbors, vertex_from_ball
-from .treerep import delta, delta_star, hecke_T, rho_times, tilde_delta_down, \
-    tilde_delta_up
 
 MAX_P = 13
 MAX_LEVEL = 5
 MAX_N = 200
+MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
+MAX_DET_SIZE = 6        # the expansion sums over m! permutations
 
 
 def _emit(args, ok, details):
@@ -44,23 +45,43 @@ def _check_p(parser, p):
         parser.error(f"--p must be a prime <= {MAX_P}")
 
 
+def _check_range(parser, flag, value, lo, hi=None):
+    if value < lo or (hi is not None and value > hi):
+        parser.error(f"{flag} must be >= {lo}" if hi is None
+                     else f"{flag} must lie in {lo}..{hi}")
+
+
+def _check_conductor_exp(parser, flag, f, p):
+    _check_range(parser, flag, f, 0, MAX_CONDUCTOR_EXP)
+    if f and p == 2:
+        parser.error(f"{flag} >= 1 needs an odd --p")
+
+
+def _parse_nonzero(parser, flag, spec):
+    try:
+        x = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        x = 0
+    if x == 0:
+        parser.error(f"{flag} must be a nonzero rational, not {spec!r}")
+    return x
+
+
 def _parse_alpha(parser, spec, p):
     if spec in ("sqrt", "sqrt(q)"):
         return float(p) ** 0.5
-    try:
-        return Fraction(spec)
-    except ValueError:
-        parser.error(f"bad --alpha value {spec!r}")
+    return _parse_nonzero(parser, "--alpha", spec)
 
 
 def cmd_gauss(args, parser):
     _check_p(parser, args.p)
+    _check_conductor_exp(parser, "--conductor-exp", args.conductor_exp, args.p)
     if args.conductor_exp == 0:
         chi = trivial_character(args.p)
     else:
         chi = character_from_log(args.p, args.conductor_exp, args.char_spec)
     tau = gauss_sum(chi)
-    tau_f = gauss_sum(chi, exact=False).to_complex()
+    tau_f = tau.to_complex()
     ok = abs(abs(tau_f) ** 2 - args.p ** chi.f) < 1e-9 or chi.f == 0
     return _emit(args, ok, {
         "p": args.p, "conductor_exp": chi.f, "tau_exact": tau,
@@ -69,13 +90,19 @@ def cmd_gauss(args, parser):
 
 def cmd_local_integral(args, parser):
     _check_p(parser, args.p)
+    _check_conductor_exp(parser, "--char-f", args.char_f, args.p)
+    _check_range(parser, "--n-max", args.n_max, 0)
     alpha = _parse_alpha(parser, args.alpha, args.p)
+    t = _parse_nonzero(parser, "--t", args.t)
     if args.char_f == 0:
-        chi = trivial_character(args.p, Fraction(args.t))
+        chi = trivial_character(args.p, t)
     else:
         base = character_from_log(args.p, args.char_f, args.char_k)
-        chi = Quasicharacter(args.p, Fraction(args.t), base.f, base.unit_table)
-    got = mellin_mu_alpha(chi, alpha, n_max=args.n_max, exact=False)
+        chi = Quasicharacter(args.p, t, base.f, base.unit_table)
+    try:
+        got = mellin_mu_alpha(chi, alpha, n_max=args.n_max, exact=False)
+    except ValueError as exc:   # the shell sum diverges
+        parser.error(str(exc))
     target = mellin_target(chi, alpha)
     err = abs(got.value.to_complex() - target.to_complex())
     ok = err <= 1e-8 + got.tail_bound
@@ -101,46 +128,25 @@ def cmd_tree(args, parser):
 
 def cmd_tree_rep(args, parser):
     _check_p(parser, args.p)
-    from .suite import _random_vertex_function
-    rng = random.Random(args.seed)
-    p = args.p
-    failures = 0
-    trials = args.trials
-    for _ in range(trials):
-        phi = _random_vertex_function(rng, p, args.radius)
-        for eps in (1, -1):
-            lhs = delta(delta_star(phi, eps))
-            rhs = phi.scale(p + 1) - hecke_T(phi).scale(eps)
-            failures += lhs != rhs
-        for alpha in (Fraction(1), Fraction(-1), Fraction(2)):
-            lhs = tilde_delta_down(alpha, tilde_delta_up(alpha, phi))
-            rho2 = rho_times(alpha, rho_times(alpha, phi))
-            rhs = rho2.scale(alpha ** 2 + Fraction(p) / alpha ** 2) \
-                - rho_times(alpha, hecke_T(rho_times(alpha, phi)))
-            failures += lhs != rhs
-    return _emit(args, failures == 0,
-                 {"p": p, "radius": args.radius, "trials": trials,
-                  "failures": failures})
+    _check_range(parser, "--radius", args.radius, 1)
+    _check_range(parser, "--trials", args.trials, 1)
+    r = criterion_tree_identities(args.seed, primes=(args.p,),
+                                  radius=args.radius, trials=args.trials)
+    return _emit(args, r.ok, {"p": args.p, "radius": args.radius,
+                              "trials": args.trials, **r.details})
 
 
 def cmd_steinberg(args, parser):
     _check_p(parser, args.p)
-    rng = random.Random(args.seed)
-    kinds = ("ord",) if args.p == 2 else ("ord", "log")
-    failures = 0
-    for kind in kinds:
-        ell = EllSpec(kind, args.p)
-        for _ in range(args.trials):
-            a = Fraction(rng.randint(1, 30), rng.randint(1, 10))
-            x = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 10))
-            lhs, rhs = coboundary_check(a, x, ell)
-            failures += lhs != rhs
-    return _emit(args, failures == 0,
-                 {"p": args.p, "kinds": ",".join(kinds),
-                  "trials": args.trials * len(kinds), "failures": failures})
+    _check_range(parser, "--trials", args.trials, 1)
+    r = criterion_steinberg(args.seed, p=args.p, trials=args.trials)
+    return _emit(args, r.ok, {"p": args.p, **r.details})
 
 
 def cmd_detcheck(args, parser):
+    _check_range(parser, "--trials", args.trials, 1)
+    _check_range(parser, "--kmax", args.kmax, 1)
+    _check_range(parser, "--mmax", args.mmax, args.kmax, MAX_DET_SIZE)
     r = criterion_determinant(args.seed, trials=args.trials, kmax=args.kmax,
                               mmax=args.mmax)
     return _emit(args, r.ok, {"trials": args.trials, "kmax": args.kmax,
@@ -152,12 +158,10 @@ def cmd_lp(args, parser):
         mu = load_measure(args.measure)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read measure file: {exc}")
-    if not 1 <= args.level <= mu.N:
-        parser.error(f"--level must lie in 1..{mu.N}, the measure's levels")
+    _check_range(parser, "--level", args.level, 1, mu.N)
     ok = check_distribution_and_bound(mu).ok
     if args.moments is not None:
-        if not 0 <= args.moments <= MAX_MOMENT:
-            parser.error(f"--moments must lie in 0..{MAX_MOMENT}")
+        _check_range(parser, "--moments", args.moments, 0, MAX_MOMENT)
         ms = [moment(mu, k, args.level) for k in range(args.moments + 1)]
         return _emit(args, ok, {
             "p": mu.p, "level": args.level,
@@ -185,6 +189,7 @@ def _load_curve_arg(args, parser):
 
 def cmd_linv(args, parser):
     _check_p(parser, args.p)
+    _check_range(parser, "--prec", args.prec, 1)
     E = _load_curve_arg(args, parser)
     if reduction_type(E, args.p) != "split":
         parser.error("L-invariant needs split multiplicative reduction")
@@ -196,9 +201,9 @@ def cmd_linv(args, parser):
 
 def cmd_interp(args, parser):
     _check_p(parser, args.p)
+    _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
+    _check_range(parser, "--prec", args.prec, 1)
     E = _load_curve_arg(args, parser)
-    if args.level > MAX_LEVEL:
-        parser.error(f"--level exceeds the desk cap {MAX_LEVEL}")
     rep = total_mass_report(E, args.p, args.level, args.prec)
     return _emit(args, rep.ok, {
         "curve": E.label, "p": args.p, "kind": rep.kind, "level": args.level,
@@ -208,9 +213,9 @@ def cmd_interp(args, parser):
 
 def cmd_ezero(args, parser):
     _check_p(parser, args.p)
+    _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
+    _check_range(parser, "--prec", args.prec, 1)
     E = _load_curve_arg(args, parser)
-    if args.level > MAX_LEVEL:
-        parser.error(f"--level exceeds the desk cap {MAX_LEVEL}")
     if reduction_type(E, args.p) != "split":
         parser.error("exceptional zero needs split multiplicative reduction")
     rep = exceptional_zero_report(E, args.p, args.level, args.prec)
@@ -272,13 +277,11 @@ def build_parser():
     sp = sub.add_parser("tree-rep", help="tree operator identity suite")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--radius", type=int, default=2)
-    sp.add_argument("--suite", action="store_true")
     sp.add_argument("--trials", type=int, default=50)
     sp.set_defaults(fn=cmd_tree_rep)
 
     sp = sub.add_parser("steinberg", help="coboundary identity suite")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--suite", action="store_true")
     sp.add_argument("--trials", type=int, default=100)
     sp.set_defaults(fn=cmd_steinberg)
 

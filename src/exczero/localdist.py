@@ -9,6 +9,7 @@ from fractions import Fraction
 from .balls import Ball, MultBall
 from .characters import (
     AdditiveCharacterPsi, euler_factor, gauss_sum, local_L,
+    unit_psi_chi_integral,
 )
 from .cyclotomic import CValue
 from .padic import ord_p
@@ -20,13 +21,13 @@ __all__ = [
 ]
 
 
-def psi_ball_integral(ball, psi=None):
+def psi_ball_integral(ball):
     """int over a + p^k O of psi(x) dx: p^{-k} psi(a) if k >= 0, else 0
     (psi is nontrivial on p^{-1}O/O, so deeper balls cancel exactly)."""
-    psi = psi or AdditiveCharacterPsi(ball.p)
     if ball.depth < 0:
         return CValue.exact(0)
-    return CValue.exact(ball.haar_measure()) * psi(ball.center)
+    return CValue.exact(ball.haar_measure()) \
+        * AdditiveCharacterPsi(ball.p)(ball.center)
 
 
 def _is_one(alpha):
@@ -34,77 +35,39 @@ def _is_one(alpha):
         and alpha.val.rational_value() == 1
 
 
-def mu_alpha_ball(alpha, piece, psi=None):
+def mu_alpha_ball(alpha, piece):
     """mu_alpha of a basic piece: an additive Ball (alpha = 1, or a ball of
     constant valuation) or a multiplicative coset aU^(n)."""
     alpha = CValue.lift(alpha)
     p = piece.p
-    psi = psi or AdditiveCharacterPsi(p)
     if isinstance(piece, Ball):
         if _is_one(alpha):
-            return psi_ball_integral(piece, psi)
+            return psi_ball_integral(piece)
         v = ord_p(piece.center, p) if piece.center != 0 else None
         assert v is not None and v < piece.depth, \
             "chi_alpha is not constant on a ball containing 0"
-        return alpha ** v * psi_ball_integral(piece, psi)
+        return alpha ** v * psi_ball_integral(piece)
     assert isinstance(piece, MultBall)
     total = CValue.exact(0)
     for b in piece.additive_pieces():
-        total = total + psi_ball_integral(b, psi)
+        total = total + psi_ball_integral(b)
     return alpha ** piece.val * total
 
 
-def integrate_mu_alpha(f, alpha, psi=None):
+def integrate_mu_alpha(f, alpha):
     """Linear extension of mu_alpha_ball over the pieces of a BallFunction."""
     alpha = CValue.lift(alpha)
-    psi = psi or AdditiveCharacterPsi(f.p)
     total = CValue.exact(0)
     for piece, coeff in f.pieces:
-        total = total + CValue.lift(coeff) * mu_alpha_ball(alpha, piece, psi)
+        total = total + CValue.lift(coeff) * mu_alpha_ball(alpha, piece)
     return total
 
 
-def unit_psi_chi_integral(chi, a, psi=None, exact=True):
-    """int over U of psi(a u) chi(u) d*u (vol(U) = 1), by a character sum at
-    the minimal sufficient level (exact cyclotomic or float mode)."""
-    p = chi.p
-    psi = psi or AdditiveCharacterPsi(p)
-    a = Fraction(a)
-    m = max(chi.f, -ord_p(a, p) if a != 0 else 0, 1)
-    pm = p ** m
-    if not exact:
-        # raw complex accumulation with the (few) chi values cached
-        pf = p ** chi.f
-        cache = {}
-        total = 0j
-        count = 0
-        for u in range(1, pm):
-            if u % p == 0:
-                continue
-            key = u % pf
-            cv = cache.get(key)
-            if cv is None:
-                cv = chi.value_at_unit(u).to_complex()
-                cache[key] = cv
-            total += psi(a * u, exact=False).to_complex() * cv
-            count += 1
-        return CValue.from_float(total / count)
-    total = CValue.exact(0)
-    count = 0
-    for u in range(1, pm):
-        if u % p == 0:
-            continue
-        total = total + psi(a * u, exact=exact) * chi.value_at_unit(u)
-        count += 1
-    return total * Fraction(1, count)
-
-
-def shell_integral(chi, alpha, n, psi=None, exact=True):
+def shell_integral(chi, alpha, n):
     """int over p^n U of chi(x) chi_alpha(x) psi(x) d*x."""
     alpha = CValue.lift(alpha)
-    p = chi.p
-    a = Fraction(p) ** n
-    return (chi.t * alpha) ** n * unit_psi_chi_integral(chi, a, psi, exact)
+    return (chi.t * alpha) ** n \
+        * unit_psi_chi_integral(chi, Fraction(chi.p) ** n)
 
 
 @dataclass
@@ -115,8 +78,10 @@ class MellinResult:
     n_max: int
 
 
-def mellin_mu_alpha(chi, alpha, n_max=40, psi=None, exact=True):
-    """Truncated shell sum for int chi d mu_alpha with dx = (1-1/q)|x| d*x.
+def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
+    """Truncated shell sum for int chi d mu_alpha with dx = (1-1/q)|x| d*x,
+    in exact cyclotomic arithmetic or, with exact=False, as a complex float
+    sum over the exact unit integrals.
 
     Shells below -(f+2) vanish exactly (the shifted unit integrals are zero
     there, tested separately); the positive tail is geometric with ratio
@@ -126,15 +91,15 @@ def mellin_mu_alpha(chi, alpha, n_max=40, psi=None, exact=True):
     r = (abs(chi.t.to_complex()) * abs(alpha.to_complex())) / q
     if r >= 1:
         raise ValueError("divergent: |chi(p) alpha| >= q")
-    psi = psi or AdditiveCharacterPsi(q)
     n_min = -(chi.f + 2)
     scale = Fraction(q - 1, q)
-    # psi is trivial on Z_p, so the unit integral is one and the same for
-    # every shell with n >= 0; hoist it out of the loop
-    unit_nonneg = unit_psi_chi_integral(chi, Fraction(1), psi, exact)
-    shells = [(n, unit_nonneg if n >= 0 else
-               unit_psi_chi_integral(chi, Fraction(q) ** n, psi, exact))
-              for n in range(n_min, n_max + 1)]
+    # psi is trivial on Z_p, so every shell with n >= 0 has the unit
+    # integral at a = 1; each shell below 0 has its own
+    units = [unit_psi_chi_integral(chi, Fraction(q) ** n)
+             for n in range(n_min, 1)]
+    if not exact:
+        units = [u.to_complex() for u in units]
+    shells = [(n, units[min(n, 0) - n_min]) for n in range(n_min, n_max + 1)]
     if exact:
         total = CValue.exact(0)
         for n, unit in shells:
@@ -143,7 +108,7 @@ def mellin_mu_alpha(chi, alpha, n_max=40, psi=None, exact=True):
         # the shell factor (chi(p) alpha / q)^n as a complex float
         ratio = (chi.t * alpha).to_complex() / q
         total = CValue.from_float(float(scale) * sum(
-            ratio ** n * unit.to_complex() for n, unit in shells))
+            ratio ** n * unit for n, unit in shells))
     tail = float(scale) * r ** (n_max + 1) / (1 - r)
     return MellinResult(total, tail, n_min, n_max)
 

@@ -118,14 +118,16 @@ def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
     the integrand difference is exp(s log<a>) - exp(s log<b>) with
     ord(log<a> - log<b>) >= level, so each ball contributes an error of
     ord >= level + ord(s) - c where c is the boundedness certificate; the
-    ultrametric makes the total error no worse.  s = 0 is exact."""
+    ultrametric makes the total error no worse.  s = 0 is exact, or known
+    mod p^(modulus - c) for a measure with a modulus."""
     p = mu.p
     assert 1 <= level <= mu.N
     if not isinstance(s, PadicNumber):
         s = from_rational(s, p, prec)
     c = check_distribution_and_bound(mu).bound_cert
     if s.is_zero:
-        return moment(mu, 0, level, prec), None
+        return moment(mu, 0, level, prec), \
+            None if mu.modulus is None else mu.modulus - c
     assert s.val >= 1, "Gamma-transform needs ord(s) >= 1"
     total = from_rational(0, p, prec)
     for a in mu.level_keys(level):
@@ -146,9 +148,11 @@ def moment(mu, k, level, prec=DEFAULT_PREC):
     assert 0 <= k <= MAX_MOMENT
     p = mu.p
     assert 1 <= level <= mu.N
-    if k == 0:
-        return from_rational(mu.mass(level), p, prec)
     c = check_distribution_and_bound(mu).bound_cert
+    if k == 0:
+        mass = from_rational(mu.mass(level), p, prec)
+        return mass if mu.modulus is None \
+            else mass.truncate_abs(mu.modulus - c)
     # the integrand varies by ord >= level + (k-1) on each ball, so the sum
     # is accurate to ord >= level + k - 1 - c (and mod p^modulus if set)
     err_exp = level + k - 1 - c

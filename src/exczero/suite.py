@@ -71,10 +71,13 @@ def _random_edge_function(rng, p, sign, radius):
     return c
 
 
-def criterion_tree_identities(seed=0, quick=False):
-    primes = (2, 3) if quick else (2, 3, 5)
-    radius = 2 if quick else 3
-    per = 9 if quick else 28
+def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
+                              trials=None):
+    """``trials`` random functions per prime and sign, and per prime and
+    alpha, on the ball of ``radius`` around the base vertex."""
+    primes = primes or ((2, 3) if quick else (2, 3, 5))
+    radius = radius or (2 if quick else 3)
+    per = trials or (9 if quick else 28)
     rng = random.Random(seed)
 
     def run():
@@ -183,10 +186,10 @@ def criterion_gauss_identities(tol=1e-9, quick=False):
             for k in range(1, p - 1):
                 chi = character_from_log(p, 1, k)
                 chi_inv = character_from_log(p, 1, p - 1 - k)
-                prod = gauss_sum(chi) * gauss_sum(chi_inv)
-                exact_ok &= prod == chi.value_at_unit(p - 1) * p
-                tau = gauss_sum(chi, exact=False).to_complex()
-                worst = max(worst, abs(abs(tau) ** 2 - p))
+                tau = gauss_sum(chi)
+                exact_ok &= tau * gauss_sum(chi_inv) \
+                    == chi.value_at_unit(p - 1) * p
+                worst = max(worst, abs(abs(tau.to_complex()) ** 2 - p))
                 count += 1
         return exact_ok and worst < tol, {
             "chars": count, "exact_ok": exact_ok, "worst_abs2": f"{worst:.2e}"}
@@ -211,14 +214,21 @@ def _nonzero(rng, p):
             return x
 
 
-def criterion_steinberg(seed=0, quick=False):
+def criterion_steinberg(seed=0, quick=False, p=None, trials=None):
+    """``trials`` coboundary checks and half as many cocycle pairs per
+    (kind, prime): ord at 3 and log at 5, or both kinds at ``p`` (ord only
+    at p = 2, where the logarithm pipeline does not run)."""
     rng = random.Random(seed)
-    n_cob = 50 if quick else 200
-    n_coc = 25 if quick else 100
+    n_cob = trials or (50 if quick else 200)
+    n_coc = n_cob // 2
+    if p is None:
+        specs = (("ord", 3), ("log", 5))
+    else:
+        specs = (("ord", p),) if p == 2 else (("ord", p), ("log", p))
 
     def run():
         failures = 0
-        for kind, p in (("ord", 3), ("log", 5)):
+        for kind, p in specs:
             ell = EllSpec(kind, p)
             for _ in range(n_cob):
                 a, x = _nonzero(rng, p), _nonzero(rng, p)
@@ -234,8 +244,8 @@ def criterion_steinberg(seed=0, quick=False):
                     failures += zab.evaluate(x) != za.evaluate(x) + \
                         zb_a.evaluate(x)
         return failures == 0, {"failures": failures,
-                               "coboundary_trials": 2 * n_cob,
-                               "cocycle_pairs": 2 * n_coc}
+                               "coboundary_trials": len(specs) * n_cob,
+                               "cocycle_pairs": len(specs) * n_coc}
 
     return _timed("steinberg", run)
 

@@ -439,7 +439,7 @@ def delta_alpha(f, alpha):
     return tilde_delta_down(alpha, c)
 
 
-def whittaker_steinberg(pieces, psi=None, p=None):
+def whittaker_steinberg(pieces, p=None):
     """Whittaker functional of a Steinberg vector given as a P^1 ball
     function: Lambda(x -> phi([x:1]) - phi(inf)).
 
@@ -447,7 +447,7 @@ def whittaker_steinberg(pieces, psi=None, p=None):
     infinity; subtracting it leaves an integrable function on Q_p."""
     if p is None:
         p = pieces[0][0].ball.p
-    psi = psi or AdditiveCharacterPsi(p)
+    psi = AdditiveCharacterPsi(p)
     total = CValue.exact(0)
     for piece, coeff in pieces:
         sgn = -1 if piece.complement else 1

@@ -122,6 +122,52 @@ def test_desk_caps():
         assert exc.value.code == 2
 
 
+BAD_INPUT = [
+    ["gauss", "--p", "2"],
+    ["gauss", "--p", "3", "--conductor-exp", "-1"],
+    ["gauss", "--p", "3", "--conductor-exp", "9"],
+    ["local-integral", "--p", "2", "--alpha", "1", "--char-f", "1"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--char-f", "-1"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--t", "0"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--t", "x"],
+    ["local-integral", "--p", "3", "--alpha", "0"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--t", "5"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--n-max", "-1"],
+    ["linv", "--curve", CURVE11, "--p", "11", "--prec", "0"],
+    ["interp", "--curve", CURVE11, "--p", "3", "--level", "0"],
+    ["interp", "--curve", CURVE11, "--p", "3", "--prec", "0"],
+    ["ezero", "--curve", CURVE11, "--p", "11", "--level", "0"],
+    ["ezero", "--curve", CURVE11, "--p", "11", "--prec", "0"],
+    ["tree-rep", "--p", "3", "--radius", "0"],
+    ["tree-rep", "--p", "3", "--trials", "0"],
+    ["tree-rep", "--p", "3", "--suite"],
+    ["steinberg", "--p", "3", "--trials", "0"],
+    ["steinberg", "--p", "5", "--suite"],
+    ["detcheck", "--trials", "0"],
+    ["detcheck", "--kmax", "0"],
+    ["detcheck", "--kmax", "5", "--mmax", "4"],
+    ["detcheck", "--mmax", "7"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_INPUT,
+    ids=lambda argv: " ".join(os.path.basename(a) for a in argv))
+def test_bad_input_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["tree-rep", "steinberg"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_identity_suites_pass_and_follow_the_seed(command, p, capsys):
+    argv = ["--seed", "5", command, "--p", p, "--trials", "6"]
+    code, out = run(argv, capsys)
+    assert code == 0 and out.startswith("PASS") and "failures=0" in out
+    assert run(argv, capsys) == (code, out)
+
+
 def test_seed_determinism(capsys):
     _, out1 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)
     _, out2 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)

@@ -226,6 +226,29 @@ def test_moment_matches_padic_reference():
                 assert _same(got, ref), (mu.p, k, prec, got, ref)
 
 
+def test_mass_claims_no_more_than_the_modulus():
+    # values trusted mod p^modulus give the mass mod p^(modulus - c) at
+    # k = 0 and s = 0, as the moments with k >= 1 already do
+    approx = mtt_measure(E11, 3, 3, prec=6)                   # c = 0
+    shifted = dirac(5, 3, 2).scale(Fraction(3, 25))
+    shifted = BallMeasure(5, 3, shifted.values, modulus=4)   # c = 2
+    for mu, prec in ((approx, 20), (approx, 4), (shifted, 20)):
+        cap = mu.modulus - check_distribution_and_bound(mu).bound_cert
+        for level in range(1, mu.N + 1):
+            full = from_rational(mu.mass(level), mu.p, prec)
+            m0 = moment(mu, 0, level, prec)
+            assert m0.abs_prec <= cap, (mu.p, level, prec, m0)
+            assert _same(m0, full.truncate_abs(cap))
+            val, err = gamma_transform(mu, 0, level, prec)
+            assert err == cap and _same(val, m0)
+    exact = dirac(5, 3, 2).scale(3) + dirac(5, 3, 7).scale(Fraction(-1, 5))
+    for prec in (4, 20):
+        full = from_rational(exact.mass(3), 5, prec)
+        assert _same(moment(exact, 0, 3, prec), full)
+        val, err = gamma_transform(exact, 0, 3, prec)
+        assert err is None and _same(val, full)
+
+
 def test_distribution_report_is_computed_once():
     mu = dirac(5, 3, 2).scale(Fraction(3, 25))
     rep = check_distribution_and_bound(mu)
