@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -76,3 +77,16 @@ def test_det_exact_oracle():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_exact(rows) == sympy.Matrix(rows).det()
+
+
+def test_expansion_same_on_int_and_fraction_rows():
+    rng = random.Random(157)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        m = rng.randint(k, 5)
+        den = rng.choice([2, 3, 7, 12])
+        rows = random_zero_row_sum(rng, k, m)
+        scaled = [[Fraction(x, den) for x in row] for row in rows]
+        lhs, rhs = det_fixedpointfree_expansion(rows)
+        lhs_q, rhs_q = det_fixedpointfree_expansion(scaled)
+        assert lhs == rhs == lhs_q * den ** k == rhs_q * den ** k

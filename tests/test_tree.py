@@ -163,3 +163,22 @@ def test_distance_is_a_metric():
         assert distance(u, v) == distance(v, u) >= 0
         assert (distance(u, v) == 0) == (u == v)
         assert distance(u, w) <= distance(u, v) + distance(v, w)
+
+
+def test_vertex_equality_and_hash_ignore_the_representative():
+    rng = random.Random(41)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 13])
+        n = rng.randint(-4, 4)
+        b = Fraction(rng.randint(-10 ** 6, 10 ** 6), p ** rng.randint(0, 5))
+        j = rng.randint(-50, 50)
+        v = TreeVertex(p, n, b)
+        w = TreeVertex(p, n, b + j * Fraction(p) ** (-n))
+        assert v == w and hash(v) == hash(w)
+        assert TreeVertex(p, n + 1, b) != v
+
+
+def test_ball_vertex_set_counts():
+    for p, R in [(2, 4), (3, 3), (5, 2), (7, 2), (13, 2)]:
+        expect = 1 + (p + 1) * sum(p ** k for k in range(R))
+        assert len(set(ball_vertices(p, R))) == expect

@@ -294,3 +294,38 @@ def test_whittaker_unipotent_equivariance():
         shifted = [(P1Piece(b.translate(y)), c) for b, c in f]
         plain = [(P1Piece(b), c) for b, c in f]
         assert whittaker_steinberg(shifted) == psi(y) * whittaker_steinberg(plain)
+
+
+def _as_fractions(f, den=1):
+    """A copy of a vertex or edge function with Fraction values divided by den."""
+    if isinstance(f, VertexFunction):
+        return VertexFunction(f.p, {v: Fraction(c, den) for v, c in f.data.items()})
+    out = EdgeFunction(f.p, f.sign)
+    out.data = {e: Fraction(c, den) for e, c in f.data.items()}
+    return out
+
+
+def test_operators_agree_on_int_and_fraction_values():
+    rng = random.Random(97)
+    for _ in range(30):
+        p = rng.choice([2, 3, 5])
+        eps = rng.choice([1, -1])
+        den = rng.choice([1, 2, 3, 7])
+        phi = random_vertex_function(rng, p)
+        phi.data = {v: int(c) for v, c in phi.data.items()}
+        psi = random_vertex_function(rng, p)
+        c = random_edge_function(rng, p, eps)
+        c.data = {e: int(x) for e, x in c.data.items()}
+        phi_q, c_q = _as_fractions(phi, den), _as_fractions(c, den)
+        assert phi == _as_fractions(phi) and c == _as_fractions(c)
+        assert delta(c) == delta(c_q).scale(den)
+        assert delta_star(phi, eps) == delta_star(phi_q, eps).scale(den)
+        assert hecke_T(phi) == hecke_T(phi_q).scale(den)
+        assert phi.pairing(psi) == phi_q.pairing(psi) * den
+        assert c.pairing(c) == c_q.pairing(c_q) * den * den
+        assert delta(c).pairing(phi) == delta(c_q).pairing(phi_q) * den * den
+        for alpha in (1, -1, 2, Fraction(1, 2)):
+            assert tilde_delta_down(alpha, c) \
+                == tilde_delta_down(alpha, c_q).scale(den)
+            assert tilde_delta_up(alpha, phi) \
+                == tilde_delta_up(alpha, phi_q).scale(den)
