@@ -12,20 +12,17 @@ __all__ = ["Ball", "MultBall", "P1Piece", "BallFunction", "reduce_mod_power"]
 def reduce_mod_power(x, m, p):
     """Canonical representative of x mod p^m Z_p, in [0, p^m), for x rational
     and any integer m (the representative has p-power denominator)."""
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    # write x = num / (p^k * c) with gcd(c, p) = 1
+    num, c, k = x.numerator, x.denominator, 0
+    while c % p == 0:
+        c //= p
+        k += 1
+    if num == 0 or m + k <= 0:   # then ord_p(x) >= m
         return Fraction(0)
-    v = ord_p(x, p)
-    if v >= m:
-        return Fraction(0)
-    k = -v if v < 0 else 0
-    # write x = a / (p^k * c) with gcd(c, p) = 1
-    num, den = x.numerator, x.denominator
-    c = den // p ** max(0, -v) if v < 0 else den
-    a = num if v < 0 else num
     mod = p ** (m + k)
-    r = a * pow(c, -1, mod) % mod
-    return Fraction(r, p ** k)
+    return Fraction(num * pow(c, -1, mod) % mod, p ** k)
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,6 @@ class BallFunction:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale_values(self, t):
-        return BallFunction(self.p, [(b, c * t) for b, c in self.pieces])
 
     def act(self, t):
         """The torus action (t.f)(x) = f(t^{-1} x)."""

@@ -28,6 +28,7 @@ MAX_LEVEL = 5
 MAX_N = 200
 MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
 MAX_DET_SIZE = 6        # the expansion sums over m! permutations
+MAX_TREE_RADIUS = 3     # a ball of radius 3 at p = 13 holds 2,563 vertices
 
 
 def _emit(args, ok, details):
@@ -115,6 +116,7 @@ def cmd_local_integral(args, parser):
 
 def cmd_tree(args, parser):
     _check_p(parser, args.p)
+    _check_range(parser, "--radius", args.radius, 0, MAX_TREE_RADIUS)
     verts = ball_vertices(args.p, args.radius)
     ok = True
     if args.check:
@@ -128,7 +130,7 @@ def cmd_tree(args, parser):
 
 def cmd_tree_rep(args, parser):
     _check_p(parser, args.p)
-    _check_range(parser, "--radius", args.radius, 1)
+    _check_range(parser, "--radius", args.radius, 1, MAX_TREE_RADIUS)
     _check_range(parser, "--trials", args.trials, 1)
     r = criterion_tree_identities(args.seed, primes=(args.p,),
                                   radius=args.radius, trials=args.trials)

@@ -4,7 +4,7 @@ Gauss-sum identities are checked exactly in Q(zeta_M), where a value is a
 histogram of rational coefficients over the exponents of zeta_M mod M: sums
 of roots of unity accumulate in it, products add exponents, a change of level
 scales them.  Reduction mod Phi_M, which makes it unique, runs only for
-equality, rationality, hashing and repr.  Irrational parameters like sqrt(q)
+equality, rationality and hashing.  Irrational parameters like sqrt(q)
 force complex floats, where every comparison carries a tolerance.
 """
 
@@ -186,7 +186,11 @@ class Cyclotomic:
         return sum((float(c) * cmath.exp(w * e) for e, c in self.terms.items()), 0j)
 
     def __repr__(self):
-        return f"Cyclotomic({self.level}, {[str(c) for c in self._reduced()]})"
+        # a summary without reduction: the reduced form has phi(M) entries
+        if self.terms.keys() <= {0}:
+            return f"Cyclotomic({self.terms.get(0, 0)})"
+        return (f"Cyclotomic(level={self.level}, terms={len(self.terms)}, "
+                f"approx={self.to_complex():.12g})")
 
 
 def zeta(M, k=1):
@@ -297,7 +301,6 @@ class CValue:
 
     def __repr__(self):
         if self.mode == "exact":
-            if self.val.is_rational():
-                return f"CValue({self.val.rational_value()})"
-            return f"CValue({self.val!r})"
+            t = self.val.terms
+            return f"CValue({t.get(0, 0) if t.keys() <= {0} else repr(self.val)})"
         return f"CValue({self.val:.12g})"

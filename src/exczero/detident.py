@@ -8,11 +8,13 @@ S of {1..k}; equivalently, iterating f from any start in {1..k}
 eventually escapes past k (any trapped orbit ends in a cycle C with
 f(C) = C)."""
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import prod
 
-__all__ = ["is_admissible", "admissible_maps", "det_exact",
-           "det_fixedpointfree_expansion"]
+from .linalg import det
+
+__all__ = ["is_admissible", "admissible_maps", "det_fixedpointfree_expansion"]
 
 
 def is_admissible(f, k):
@@ -28,51 +30,23 @@ def is_admissible(f, k):
     return True
 
 
+@lru_cache(maxsize=64)
 def admissible_maps(k, m):
-    for f in product(range(m), repeat=k):
-        if is_admissible(f, k):
-            yield f
-
-
-def det_exact(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                fac = a[i][col] * inv
-                a[i] = [x - fac * y for x, y in zip(a[i], a[col])]
-    return det
+    """The admissible maps {0..k-1} -> {0..m-1}, as a tuple of tuples."""
+    return tuple(f for f in product(range(m), repeat=k) if is_admissible(f, k))
 
 
 def det_fixedpointfree_expansion(rows):
     """Both sides of the identity for a k x m zero-row-sum matrix: the
-    determinant of the left k x k block, and the signed admissible-map sum.
+    determinant of the left k x k block, and the signed admissible-map sum,
+    both over the entries as given (ints stay ints).
     Returns (lhs, rhs); the contract is lhs == rhs."""
     k = len(rows)
     m = len(rows[0])
     assert 1 <= k <= m, "need 1 <= k <= m"
-    rows = [[Fraction(x) for x in row] for row in rows]
     for i, row in enumerate(rows):
         assert sum(row) == 0, f"row {i} does not sum to zero"
-    lhs = det_exact([row[:k] for row in rows])
-    rhs = Fraction(0)
-    for f in admissible_maps(k, m):
-        term = Fraction(1)
-        for i in range(k):
-            term *= rows[i][f[i]]
-            if term == 0:
-                break
-        rhs += term
-    rhs *= (-1) ** k
-    return lhs, rhs
+    lhs = det([row[:k] for row in rows])
+    rhs = sum(prod(row[j] for row, j in zip(rows, f))
+              for f in admissible_maps(k, m))
+    return lhs, (-1) ** k * rhs

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q: the reduced row echelon form of a sparse
-matrix, its nullspace, and one solution of a linear system."""
+matrix, its nullspace, one solution of a linear system, and the
+determinant."""
 
 from fractions import Fraction
 
-__all__ = ["rref", "nullspace", "solve"]
+__all__ = ["rref", "nullspace", "solve", "det"]
 
 
 def rref(rows):
@@ -63,3 +64,25 @@ def solve(rows, rhs):
     for row, col in zip(reduced, pivots):
         x[col] = row.get(n, Fraction(0))
     return x
+
+
+def det(rows):
+    """The determinant of a square matrix given as rows, by fraction-free
+    (Bareiss) elimination: every division is exact, so integer entries stay
+    ints; any other entries are worked over Fraction."""
+    ints = all(isinstance(x, int) for row in rows for x in row)
+    a = [[x if ints else Fraction(x) for x in row] for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for ai in a[k + 1:]:
+            for j in range(k + 1, n):
+                x = ai[j] * a[k][k] - ai[k] * a[k][j]
+                ai[j] = x // prev if ints else x / prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1

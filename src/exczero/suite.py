@@ -53,21 +53,18 @@ def _timed(name, fn):
 
 # -- 1: tree operator identities ----------------------------------------------
 
-def _random_vertex_function(rng, p, radius):
-    verts = sorted(ball_vertices(p, radius), key=repr)
+def _random_vertex_function(rng, p, verts):
     phi = VertexFunction(p)
     for v in rng.sample(verts, min(4, len(verts))):
-        phi = phi + VertexFunction.indicator(v, Fraction(rng.randint(-5, 5)))
+        phi = phi + VertexFunction.indicator(v, rng.randint(-5, 5))
     return phi
 
 
-def _random_edge_function(rng, p, sign, radius):
-    verts = sorted(ball_vertices(p, radius), key=repr)
+def _random_edge_function(rng, p, sign, verts):
     c = EdgeFunction(p, sign)
     for _ in range(4):
         v = rng.choice(verts)
-        c.add_to(TreeEdge(v, rng.choice(neighbors(v))),
-                 Fraction(rng.randint(-5, 5)))
+        c.add_to(TreeEdge(v, rng.choice(neighbors(v))), rng.randint(-5, 5))
     return c
 
 
@@ -84,23 +81,24 @@ def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
         instances = failures = 0
         for p in primes:
             q = p
+            verts = sorted(ball_vertices(p, radius), key=repr)
             for eps in (1, -1):
                 for _ in range(per):
-                    phi = _random_vertex_function(rng, p, radius)
+                    phi = _random_vertex_function(rng, p, verts)
                     lhs = delta(delta_star(phi, eps))
                     rhs = phi.scale(q + 1) - hecke_T(phi).scale(eps)
                     instances += 1
                     failures += lhs != rhs
-                    c = _random_edge_function(rng, p, eps, radius)
+                    c = _random_edge_function(rng, p, eps, verts)
                     instances += 1
                     failures += delta(c).pairing(phi) != c.pairing(
                         delta_star(phi, eps))
                     if not phi.is_zero():
                         instances += 1
                         failures += delta_star(phi, eps).is_zero()
-            for alpha in (Fraction(1), Fraction(-1), Fraction(2)):
+            for alpha in (1, -1, 2):
                 for _ in range(per):
-                    phi = _random_vertex_function(rng, p, radius)
+                    phi = _random_vertex_function(rng, p, verts)
                     lhs = tilde_delta_down(alpha, tilde_delta_up(alpha, phi))
                     rho2 = rho_times(alpha, rho_times(alpha, phi))
                     rhs = rho2.scale(alpha ** 2 + Fraction(q) / alpha ** 2) \

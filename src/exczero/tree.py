@@ -24,15 +24,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeVertex:
     p: int
     n: int
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "b",
-                           reduce_mod_power(self.b, -self.n, self.p))
+        b = reduce_mod_power(self.b, -self.n, self.p)
+        object.__setattr__(self, "b", b)
+        # compare and hash on ints, not through Fraction.__hash__
+        object.__setattr__(self, "_key", (self.p, self.n, b.numerator,
+                                          b.denominator))
+
+    def __eq__(self, other):
+        return isinstance(other, TreeVertex) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return f"V(p={self.p}; {self.n}, {self.b})"

@@ -26,24 +26,30 @@ __all__ = [
 ]
 
 
+def _exact(c):
+    """An exact value as it is: ints stay ints, anything else a Fraction."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 class VertexFunction:
-    """Finitely supported function on tree vertices with Fraction values."""
+    """Finitely supported function on tree vertices with int or Fraction
+    values; a vertex outside the support reads 0."""
 
     def __init__(self, p, data=None):
         self.p = p
-        self.data = {v: Fraction(c) for v, c in (data or {}).items() if c != 0}
+        self.data = {v: _exact(c) for v, c in (data or {}).items() if c != 0}
 
     @classmethod
-    def indicator(cls, v, coeff=Fraction(1)):
+    def indicator(cls, v, coeff=1):
         return cls(v.p, {v: coeff})
 
     def __call__(self, v):
-        return self.data.get(v, Fraction(0))
+        return self.data.get(v, 0)
 
     def __add__(self, other):
         out = dict(self.data)
         for v, c in other.data.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return VertexFunction(self.p, out)
 
     def __neg__(self):
@@ -63,7 +69,7 @@ class VertexFunction:
         return VertexFunction(self.p, {v: c * fn(v) for v, c in self.data.items()})
 
     def pairing(self, other):
-        return sum((c * other(v) for v, c in self.data.items()), Fraction(0))
+        return sum(c * other(v) for v, c in self.data.items())
 
     def support(self):
         return set(self.data)
@@ -99,7 +105,7 @@ class EdgeFunction:
 
     def set(self, e, val):
         ce, orient = _canonical(e)
-        val = Fraction(val) if orient == 1 else Fraction(val) * self._flip
+        val = _exact(val) if orient == 1 else _exact(val) * self._flip
         if val == 0:
             self.data.pop(ce, None)
         else:
@@ -107,11 +113,11 @@ class EdgeFunction:
         return self
 
     def add_to(self, e, val):
-        return self.set(e, self(e) + Fraction(val))
+        return self.set(e, self(e) + _exact(val))
 
     def __call__(self, e):
         ce, orient = _canonical(e)
-        v = self.data.get(ce, Fraction(0))
+        v = self.data.get(ce, 0)
         return v if orient == 1 else v * self._flip
 
     def __add__(self, other):
@@ -119,7 +125,7 @@ class EdgeFunction:
         out = EdgeFunction(self.p, self.sign)
         out.data = dict(self.data)
         for e, c in other.data.items():
-            out.data[e] = out.data.get(e, Fraction(0)) + c
+            out.data[e] = out.data.get(e, 0) + c
         out.data = {e: c for e, c in out.data.items() if c != 0}
         return out
 
@@ -142,14 +148,11 @@ class EdgeFunction:
             out.add_to(act(g, e), c)
         return out
 
-    def geometric_support(self):
-        return set(self.data)
-
     def pairing(self, other):
         """Sum over geometric edges of c(e) d(e) (orientation-independent
         for matching signs)."""
         assert self.sign == other.sign
-        return sum((c * other(e) for e, c in self.data.items()), Fraction(0))
+        return sum(c * other(e) for e, c in self.data.items())
 
     def is_zero(self):
         return not self.data
@@ -167,23 +170,22 @@ def delta(c):
     """delta(c)(v) = sum over edges with target v of c(e)."""
     out = {}
     for e, val in c.data.items():
-        out[e.target] = out.get(e.target, Fraction(0)) + val
-        out[e.origin] = out.get(e.origin, Fraction(0)) + val * c._flip
+        out[e.target] = out.get(e.target, 0) + val
+        out[e.origin] = out.get(e.origin, 0) + val * c._flip
     return VertexFunction(c.p, out)
+
+
+def _edges_near(phi):
+    """Each geometric edge with an end in the support of phi, once, upward."""
+    return dict.fromkeys(_canonical(TreeEdge(v, w))[0]
+                         for v in phi.data for w in neighbors(v))
 
 
 def delta_star(phi, sign):
     """delta*_+-(phi)(e) = phi(t(e)) -+ phi(o(e))."""
     out = EdgeFunction(phi.p, sign)
-    seen = set()
-    for v in phi.data:
-        for w in neighbors(v):
-            e, _ = _canonical(TreeEdge(v, w))
-            if e in seen:
-                continue
-            seen.add(e)
-            val = phi(e.target) - sign * phi(e.origin)
-            out.set(e, val)
+    for e in _edges_near(phi):
+        out.set(e, phi(e.target) - sign * phi(e.origin))
     return out
 
 
@@ -191,54 +193,47 @@ def hecke_T(phi):
     out = {}
     for v, c in phi.data.items():
         for w in neighbors(v):
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
     return VertexFunction(phi.p, out)
 
 
 def tau_pairing(phi, eps):
     """<phi, tau_eps> with tau_eps(v) = eps^h(v)."""
     assert eps in (1, -1)
-    return sum((c * eps ** height(v) for v, c in phi.data.items()), Fraction(0))
+    return sum(c * eps ** abs(height(v)) for v, c in phi.data.items())
 
 
 def twist(phi, eps):
     """Pointwise multiplication by tau_eps; an involution."""
     assert eps in (1, -1)
-    return phi.pointwise(lambda v: Fraction(eps ** height(v)))
+    return phi.pointwise(lambda v: eps ** abs(height(v)))
 
 
 # -- weighted operators, rho(v) = alpha^h(v) --------------------------------
 
 def _rho(alpha, v):
-    return Fraction(alpha) ** height(v)
+    h = height(v)
+    return alpha ** h if h >= 0 and isinstance(alpha, int) else Fraction(alpha) ** h
 
 
 def tilde_delta_down(alpha, c):
     """delta~_rho(c)(v) = sum over t(e)=v of rho(o(e)) c(e), rho = alpha^h."""
-    alpha = Fraction(alpha)
     out = {}
     for e, val in c.data.items():
         # upward orientation: contributes at the target with weight rho(origin),
         # and with the reversed edge at the origin with weight rho(target)
-        out[e.target] = out.get(e.target, Fraction(0)) + _rho(alpha, e.origin) * val
-        out[e.origin] = (out.get(e.origin, Fraction(0))
+        out[e.target] = out.get(e.target, 0) + _rho(alpha, e.origin) * val
+        out[e.origin] = (out.get(e.origin, 0)
                          + _rho(alpha, e.target) * val * c._flip)
     return VertexFunction(c.p, out)
 
 
 def tilde_delta_up(alpha, phi):
     """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e))."""
-    alpha = Fraction(alpha)
     out = EdgeFunction(phi.p, 1)
-    seen = set()
-    for v in phi.data:
-        for w in neighbors(v):
-            e, _ = _canonical(TreeEdge(v, w))
-            if e in seen:
-                continue
-            seen.add(e)
-            val = _rho(alpha, e.origin) * phi(e.target) - _rho(alpha, e.target) * phi(e.origin)
-            out.set(e, val)
+    for e in _edges_near(phi):
+        out.set(e, _rho(alpha, e.origin) * phi(e.target)
+                - _rho(alpha, e.target) * phi(e.origin))
     return out
 
 
@@ -249,7 +244,7 @@ def rho_times(alpha, phi):
 def rho_pairing(phi, alpha):
     """<phi, rho> = sum of phi(v) alpha^h(v), the obstruction against the
     height-weight eigenfunction."""
-    return sum((c * _rho(alpha, v) for v, c in phi.data.items()), Fraction(0))
+    return sum(c * _rho(alpha, v) for v, c in phi.data.items())
 
 
 def a_param(alpha, q):

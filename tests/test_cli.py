@@ -113,6 +113,13 @@ def test_interp_nonsplit_control(capsys):
     assert code == 0 and "kind=nonsplit" in out and "predicted=2" in out
 
 
+def test_gauss_line_stays_short(capsys):
+    # the exact tau lives at level 13^3 * 12; its repr is a summary
+    code, out = run(["gauss", "--p", "13", "--conductor-exp", "3"], capsys)
+    assert code == 0 and len(out.encode()) < 1024
+    assert "tau_float=-27.302559+38.099479j" in out
+
+
 def test_desk_caps():
     for argv in (["interp", "--curve", CURVE11, "--p", "3", "--level", "6"],
                  ["linv", "--curve", CURVE11, "--p", "17"],
@@ -138,7 +145,10 @@ BAD_INPUT = [
     ["interp", "--curve", CURVE11, "--p", "3", "--prec", "0"],
     ["ezero", "--curve", CURVE11, "--p", "11", "--level", "0"],
     ["ezero", "--curve", CURVE11, "--p", "11", "--prec", "0"],
+    ["tree", "--p", "13", "--radius", "4"],
+    ["tree", "--p", "3", "--radius", "-1"],
     ["tree-rep", "--p", "3", "--radius", "0"],
+    ["tree-rep", "--p", "3", "--radius", "4"],
     ["tree-rep", "--p", "3", "--trials", "0"],
     ["tree-rep", "--p", "3", "--suite"],
     ["steinberg", "--p", "3", "--trials", "0"],

@@ -123,3 +123,12 @@ def test_hash_agrees_with_equality_across_levels():
         assert hash(a) == hash(b)
         assert hash(CValue.exact(a)) == hash(CValue.exact(b))
     assert hash(Cyclotomic.from_rational(Fraction(2, 3))) == hash(Fraction(2, 3))
+
+
+def test_repr_summarizes_without_reduction():
+    assert repr(Cyclotomic(7, [Fraction(3, 2)])) == "Cyclotomic(3/2)"
+    assert repr(CValue.exact(Fraction(-2, 5))) == "CValue(-2/5)"
+    x = Cyclotomic(12, {0: 2, 1: -1, 5: 3})
+    z = x.to_complex()
+    assert repr(x) == f"Cyclotomic(level=12, terms=3, approx={z:.12g})"
+    assert repr(CValue.exact(x)) == f"CValue({x!r})"

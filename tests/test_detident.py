@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from exczero.detident import (
-    admissible_maps, det_exact, det_fixedpointfree_expansion, is_admissible,
+    admissible_maps, det_fixedpointfree_expansion, is_admissible,
 )
+from exczero.linalg import det
 
 
 def random_zero_row_sum(rng, k, m, lo=-9, hi=9):
@@ -76,7 +77,13 @@ def test_det_exact_oracle():
     for _ in range(20):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det_exact(rows) == sympy.Matrix(rows).det()
+        expect = sympy.Matrix(rows).det()
+        assert det(rows) == expect
+        assert det([[Fraction(x, 7) for x in row] for row in rows]) \
+            == Fraction(int(expect), 7 ** n)
+    assert det([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2 == \
+        sympy.Matrix([[0, 1, 2], [1, 0, 3], [4, -3, 8]]).det()
+    assert det([[0, 0], [1, 2]]) == 0
 
 
 def test_expansion_same_on_int_and_fraction_rows():
