@@ -101,9 +101,10 @@ def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
         units = [u.to_complex() for u in units]
     shells = [(n, units[min(n, 0) - n_min]) for n in range(n_min, n_max + 1)]
     if exact:
-        total = CValue.exact(0)
-        for n, unit in shells:
-            total = total + (chi.t * alpha) ** n * unit * scale * Fraction(q) ** -n
+        step = chi.t * alpha * Fraction(1, q)   # the shell factor's ratio
+        factor, total = step ** n_min * scale, CValue.exact(0)
+        for _, unit in shells:
+            total, factor = total + unit * factor, factor * step
     else:
         # the shell factor (chi(p) alpha / q)^n as a complex float
         ratio = (chi.t * alpha).to_complex() / q

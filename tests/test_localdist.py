@@ -141,6 +141,24 @@ def test_mellin_ramified_is_exact():
                 assert res.value == mellin_target(chi, alpha)
 
 
+def test_exact_mellin_is_the_sum_of_its_shells():
+    # the exact shell sum against a term-by-term reference built from
+    # shell_integral, for ramified and unramified chi, t and alpha off +-1
+    for p, f in ((3, 1), (5, 1), (3, 2), (5, 0), (7, 0)):
+        chars = (all_primitive_characters(p, f) if f
+                 else [trivial_character(p, t) for t in (1, 2, Fraction(1, 3))])
+        for chi in chars[:4]:
+            for alpha in (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)):
+                if abs(chi.t.to_complex()) * abs(alpha) >= p:
+                    continue
+                res = mellin_mu_alpha(chi, alpha, n_max=6)
+                ref = ZERO
+                for n in range(res.n_min, 7):
+                    ref = ref + shell_integral(chi, CValue.exact(alpha), n) \
+                        * Fraction(p - 1, p) * Fraction(p) ** -n
+                assert res.value == ref, (p, f, alpha)
+
+
 def test_mellin_divergence_guard():
     with pytest.raises(ValueError):
         mellin_mu_alpha(trivial_character(3, t=Fraction(4)), 1)
