@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -68,22 +69,34 @@ def test_column_shuffle_beyond_k():
         assert lhs == rhs
 
 
+def _det_by_leibniz(rows):
+    """The Leibniz sum over permutations, in Fractions (fine for n <= 4)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def test_det_exact_oracle():
     rng = random.Random(151)
-    try:
-        import sympy
-    except ImportError:
-        pytest.skip("sympy unavailable")
     for _ in range(20):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        expect = sympy.Matrix(rows).det()
+        expect = _det_by_leibniz(rows)
+        assert expect.denominator == 1
         assert det(rows) == expect
-        assert det([[Fraction(x, 7) for x in row] for row in rows]) \
+        sevenths = [[Fraction(x, 7) for x in row] for row in rows]
+        assert det(sevenths) == _det_by_leibniz(sevenths) \
             == Fraction(int(expect), 7 ** n)
-    assert det([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2 == \
-        sympy.Matrix([[0, 1, 2], [1, 0, 3], [4, -3, 8]]).det()
-    assert det([[0, 0], [1, 2]]) == 0
+    zero_pivot = [[0, 1, 2], [1, 0, 3], [4, -3, 8]]
+    assert det(zero_pivot) == -2 == _det_by_leibniz(zero_pivot)
+    assert det([[0, 0], [1, 2]]) == 0 == _det_by_leibniz([[0, 0], [1, 2]])
 
 
 def test_expansion_same_on_int_and_fraction_rows():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exczero.balls import MultBall
+from exczero.padic import from_rational, log_iwasawa, ord_p
 from exczero.steinberg import EllSpec, coboundary_check, phi0, z_ell
 
 
@@ -113,3 +116,59 @@ def test_coboundary_examples():
     assert coboundary_check(3, 3, ell) == (2, 2)
     lhs, rhs = coboundary_check(1, Fraction(5, 9), ell)
     assert lhs == 0 and rhs == 0
+
+
+# -- oracle of EllFunction.evaluate: today's Fraction arithmetic --------------
+
+def _contains_by_fraction(region, x):
+    p = region.p
+    if isinstance(region, MultBall):
+        if ord_p(x, p) != ord_p(region.a, p):
+            return False
+        diff = x / region.a - 1
+        return region.n == 0 or diff == 0 or ord_p(diff, p) >= region.n
+    diff = x - region.center
+    return diff == 0 or ord_p(diff, p) >= region.depth
+
+
+def _evaluate_by_fraction(f, x):
+    ell = f.ell
+    x = Fraction(x)
+    if ell.kind == "ord":
+        total, ell_x = Fraction(0), Fraction(ord_p(x, ell.p))
+    else:
+        total = from_rational(0, ell.p, ell.prec)
+        ell_x = log_iwasawa(x, ell.p, ell.prec)
+    for region, const, weight in f.pieces:
+        if _contains_by_fraction(region, x):
+            total = total + const
+            if weight != 0:
+                total = total + ell_x * weight
+    return total
+
+
+@st.composite
+def _nonzero_rationals(draw, p):
+    num = draw(st.integers(-10 ** 4, 10 ** 4).filter(lambda n: n != 0))
+    unit = draw(st.sampled_from([1, 1, 2, 7, 17]))
+    if unit % p == 0:
+        unit = 1
+    return (Fraction(num, unit) * Fraction(p) ** draw(st.integers(-4, 4)))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(lambda p: st.tuples(
+    st.just(p), st.sampled_from(["ord", "log"] if p != 2 else ["ord"]),
+    _nonzero_rationals(p), _nonzero_rationals(p), _nonzero_rationals(p),
+    st.lists(_nonzero_rationals(p), min_size=1, max_size=5))))
+@settings(max_examples=100)
+def test_evaluate_matches_fraction_reference(args):
+    p, kind, a, b, t, xs = args
+    ell = EllSpec(kind, p)
+    fs = [z_ell(a, ell), z_ell(a, ell).act(t), z_ell(a, ell) + z_ell(b, ell)]
+    sweep = [Fraction(u) * Fraction(p) ** k
+             for k in range(-5, 6) for u in (-1, p + 1)]
+    for f in fs:
+        for x in xs + sweep:
+            got, want = f.evaluate(x), _evaluate_by_fraction(f, x)
+            assert got == want
+            assert repr(got) == repr(want) or kind == "ord"

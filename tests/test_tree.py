@@ -1,5 +1,8 @@
+import hashlib
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from exczero.balls import Ball
 from exczero.padic import ord_p
@@ -8,6 +11,9 @@ from exczero.tree import (
     ball_vertices, base_vertex, distance, edge_of_ball, ends, height,
     neighbors, vertex_from_ball,
 )
+
+# sha256 of the repr-sorted vertex lists of ball_vertices(2, 3), (3, 2), (5, 2)
+REPR_DIGEST = "c6667352ed70e2e8f9fe496e8a2182dfccbd6fcba329f882298516b2d1359fdd"
 
 
 def random_vertex(rng, p, span=3):
@@ -176,3 +182,87 @@ def test_vertex_equality_and_hash_ignore_the_representative():
         w = TreeVertex(p, n, b + j * Fraction(p) ** (-n))
         assert v == w and hash(v) == hash(w)
         assert TreeVertex(p, n + 1, b) != v
+
+
+# -- oracles of the integer-keyed paths: today's Fraction arithmetic ----------
+
+def _neighbors_by_fraction(v):
+    """neighbors as it was computed: Fraction children, each re-reduced."""
+    p = v.p
+    step = Fraction(p) ** (-v.n)
+    return ([TreeVertex(p, v.n + 1, v.b)]
+            + [TreeVertex(p, v.n - 1, v.b + i * step) for i in range(p)])
+
+
+def _distance_by_fraction(v, w):
+    dv, dw = -v.n, -w.n
+    diff = v.b - w.b
+    join = min(dv, dw) if diff == 0 else min(ord_p(diff, v.p), dv, dw)
+    return (dv - join) + (dw - join)
+
+
+_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
+_heights = st.integers(-4, 4)
+
+
+@st.composite
+def _vertices(draw, p=None):
+    """Vertices of height -4..4 whose b may carry p-powers and other primes
+    in its denominator, and may be negative."""
+    p = p or draw(_primes)
+    unit = draw(st.sampled_from([1, 1, 1, 2, 7, 17, 221]))
+    if unit % p == 0:
+        unit = 1
+    b = Fraction(draw(st.integers(-10 ** 7, 10 ** 7)),
+                 p ** draw(st.integers(0, 6)) * unit)
+    return TreeVertex(p, draw(_heights), b)
+
+
+@given(_vertices())
+@settings(max_examples=300)
+def test_neighbors_match_fraction_reference(v):
+    got, want = neighbors(v), _neighbors_by_fraction(v)
+    assert got == want
+    assert [repr(w) for w in got] == [repr(w) for w in want]
+    assert [(w.n, w.b) for w in got] == [(w.n, w.b) for w in want]
+
+
+@given(_primes.flatmap(lambda p: st.tuples(_vertices(p), _vertices(p))))
+@settings(max_examples=300)
+def test_distance_matches_fraction_reference(vw):
+    v, w = vw
+    assert distance(v, w) == distance(w, v) == _distance_by_fraction(v, w)
+    for u in neighbors(v):
+        assert distance(u, w) == _distance_by_fraction(u, w)
+
+
+@given(_vertices())
+@settings(max_examples=300)
+def test_vertex_repr_shows_the_canonical_representative(v):
+    head, b_text = repr(v)[:-1].split(", ")
+    assert head == f"V(p={v.p}; {v.n}" and repr(v).endswith(")")
+    b = Fraction(b_text)
+    assert str(b) == b_text and b == v.b
+    den = b.denominator
+    while den % v.p == 0:
+        den //= v.p
+    assert den == 1 and 0 <= b < Fraction(v.p) ** (-v.n)
+
+
+def test_vertex_repr_pinned():
+    # criterion_tree_identities sorts its vertices by repr, so its random
+    # draws depend on these strings
+    assert repr(TreeVertex(3, 2, Fraction(-1, 27))) == "V(p=3; 2, 2/27)"
+    assert repr(TreeVertex(2, -3, Fraction(19, 4))) == "V(p=2; -3, 19/4)"
+    assert repr(TreeVertex(5, 0, Fraction(-7))) == "V(p=5; 0, 0)"
+    assert repr(TreeVertex(7, -2, Fraction(100, 3))) == "V(p=7; -2, 17)"
+    assert repr(base_vertex(13)) == "V(p=13; 0, 0)"
+    verts = sorted(ball_vertices(3, 2), key=repr)
+    assert [repr(v) for v in verts[:5]] == [
+        "V(p=3; -1, 0)", "V(p=3; -1, 1)", "V(p=3; -1, 2)",
+        "V(p=3; -2, 0)", "V(p=3; -2, 1)"]
+    digest = hashlib.sha256()
+    for p, R in [(2, 3), (3, 2), (5, 2)]:
+        for v in sorted(ball_vertices(p, R), key=repr):
+            digest.update(repr(v).encode() + b"\n")
+    assert digest.hexdigest() == REPR_DIGEST
