@@ -25,6 +25,13 @@ def reduce_mod_power(x, m, p):
     return Fraction(num * pow(c, -1, mod) % mod, p ** k)
 
 
+def _ord_at_least(x, c, m, p):
+    """ord_p(x - c) >= m, for x and c ints or Fractions, in ints."""
+    diff = x.numerator * c.denominator - c.numerator * x.denominator
+    m += ord_p(x.denominator * c.denominator, p)
+    return m <= 0 or diff % p ** m == 0
+
+
 @dataclass(frozen=True)
 class Ball:
     """Additive ball center + p^depth * Z_p (depth any integer)."""
@@ -37,7 +44,7 @@ class Ball:
                            reduce_mod_power(self.center, self.depth, self.p))
 
     def contains(self, x):
-        return reduce_mod_power(Fraction(x) - self.center, self.depth, self.p) == 0
+        return _ord_at_least(x, self.center, self.depth, self.p)
 
     def children(self):
         p = self.p
@@ -82,18 +89,13 @@ class MultBall:
             u = reduce_mod_power(a / Fraction(self.p) ** v, self.n, self.p)
             a = u * Fraction(self.p) ** v
         object.__setattr__(self, "a", a)
-
-    @property
-    def val(self):
-        return ord_p(self.a, self.p)
+        object.__setattr__(self, "val", v)   # ord_p(a), not a field
 
     def contains(self, x):
-        x = Fraction(x)
+        """x in a U^(n): ord(x) = ord(a) and, for n >= 1, ord(x - a) >= ord(a) + n."""
         if x == 0 or ord_p(x, self.p) != self.val:
             return False
-        if self.n == 0:
-            return True
-        return reduce_mod_power(x / self.a - 1, self.n, self.p) == 0
+        return self.n == 0 or _ord_at_least(x, self.a, self.val + self.n, self.p)
 
     def scale(self, t):
         return MultBall(self.p, Fraction(t) * self.a, self.n)
@@ -172,13 +174,6 @@ class BallFunction:
             assert isinstance(b, Ball)
             out.append((b.translate(x), c))
         return BallFunction(self.p, out)
-
-    def evaluate(self, x):
-        total = Fraction(0)
-        for b, c in self.pieces:
-            if b.contains(x):
-                total += c
-        return total
 
     def additive_pieces(self):
         """Flatten to (additive Ball, coeff) pairs."""

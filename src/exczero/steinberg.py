@@ -10,7 +10,7 @@ exact: log is not locally constant on valuation shells, so a plain
 ball-coefficient expansion would not represent it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balls import Ball, MultBall
@@ -25,27 +25,25 @@ class EllSpec:
     kind: str
     p: int
     prec: int = DEFAULT_PREC
+    zero: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.kind in ("ord", "log")
         if self.kind == "log":
             assert self.p != 2, "log kind needs p odd"
+        object.__setattr__(self, "zero", 0 if self.kind == "ord"
+                           else from_rational(0, self.p, self.prec))
 
     def __call__(self, x):
-        x = Fraction(x)
+        """ell(x) of an int or Fraction x: an int for ord, p-adic for log."""
         assert x != 0
         if self.kind == "ord":
-            return Fraction(ord_p(x, self.p))
+            return ord_p(x, self.p)
         return log_iwasawa(x, self.p, self.prec)
-
-    def zero(self):
-        if self.kind == "ord":
-            return Fraction(0)
-        return from_rational(0, self.p, self.prec)
 
 
 class EllFunction:
-    """Finite sum of pieces (region, const, weight) with disjoint regions;
+    """Finite sum of pieces (region, const, weight), weight in {-1, 0, 1};
     the value at x is sum over regions containing x of const + weight*ell(x)."""
 
     def __init__(self, ell, pieces=()):
@@ -53,14 +51,14 @@ class EllFunction:
         self.pieces = list(pieces)
 
     def evaluate(self, x):
-        x = Fraction(x)
         assert x != 0
-        total = self.ell.zero()
+        total = self.ell.zero
         for region, const, weight in self.pieces:
             if region.contains(x):
                 total = total + const
-                if weight != 0:
-                    total = total + self.ell(x) * weight
+                if weight:
+                    ell_x = self.ell(x)
+                    total = total + ell_x if weight > 0 else total - ell_x
         return total
 
     def __add__(self, other):
@@ -85,7 +83,7 @@ class EllFunction:
 def phi0(g, ell):
     """The two-case section value: ell(a^2/det) if ord(a) < ord(c), else
     ell(c^2/det), with ord(0) treated as +infinity."""
-    (a, b), (c, d) = [[Fraction(t) for t in row] for row in g]
+    (a, b), (c, d) = g
     det = a * d - b * c
     assert det != 0, "singular matrix"
     p = ell.p
@@ -93,7 +91,7 @@ def phi0(g, ell):
     oc = ord_p(c, p) if c != 0 else None
     a_branch = oc is None or (oa is not None and oa < oc)
     top = a if a_branch else c
-    return ell(top * top / det)
+    return ell(Fraction(top * top, det))
 
 
 def z_ell(a, ell):
@@ -106,10 +104,10 @@ def z_ell(a, ell):
     m = ord_p(a, p)
     pieces = [(Ball(p, Fraction(0), m), ell(a), 0)]
     if m >= 0:
-        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero(), Fraction(1))
+        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, 1)
                   for k in range(0, m)]
     else:
-        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero(), Fraction(-1))
+        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, -1)
                   for k in range(m, 0)]
     return EllFunction(ell, pieces + shells)
 

@@ -11,8 +11,8 @@ space of the tree is P^1(Q_p), with infinity in the direction of increasing
 height.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .balls import Ball, P1Piece, reduce_mod_power
 from .padic import ord_p
@@ -24,42 +24,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class TreeVertex:
-    p: int
-    n: int
-    b: Fraction
+class TreeVertex(tuple):
+    """The vertex (n, b) as the int tuple (p, n, num, den), b = num/den its
+    representative in [0, p^-n) with den a power of p: vertices compare and
+    hash as these tuples."""
+    __slots__ = ()
+    p, n, num, den = (property(itemgetter(i)) for i in range(4))
 
-    def __post_init__(self):
-        b = reduce_mod_power(self.b, -self.n, self.p)
-        object.__setattr__(self, "b", b)
-        # compare and hash on ints, not through Fraction.__hash__
-        object.__setattr__(self, "_key", (self.p, self.n, b.numerator,
-                                          b.denominator))
+    def __new__(cls, p, n, b):
+        b = reduce_mod_power(b, -n, p)
+        return tuple.__new__(cls, (p, n, b.numerator, b.denominator))
 
-    def __eq__(self, other):
-        return isinstance(other, TreeVertex) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    @property
+    def b(self):
+        return Fraction(self[2], self[3])
 
     def __repr__(self):
-        return f"V(p={self.p}; {self.n}, {self.b})"
+        return f"V(p={self[0]}; {self[1]}, {self.b})"
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    origin: TreeVertex
-    target: TreeVertex
+def _vertex(key):
+    """The vertex of an already canonical key (p, n, num, den)."""
+    return tuple.__new__(TreeVertex, key)
 
-    def __post_init__(self):
-        assert distance(self.origin, self.target) == 1, "not an edge"
+
+class TreeEdge(tuple):
+    """The oriented edge (origin, target) of two adjacent vertices."""
+    __slots__ = ()
+    origin, target = (property(itemgetter(i)) for i in range(2))
+
+    def __new__(cls, origin, target):
+        assert distance(origin, target) == 1, "not an edge"
+        return tuple.__new__(cls, (origin, target))
 
     def reverse(self):
-        return TreeEdge(self.target, self.origin)
+        return tuple.__new__(TreeEdge, (self[1], self[0]))
 
     def __repr__(self):
-        return f"E({self.origin} -> {self.target})"
+        return f"E({self[0]} -> {self[1]})"
 
 
 def base_vertex(p):
@@ -91,22 +93,31 @@ def edge_of_ball(ball):
 
 
 def neighbors(v):
-    """The p + 1 vertices at distance 1: one up (towards infinity), p down."""
-    p = v.p
-    up = TreeVertex(p, v.n + 1, v.b)
-    step = Fraction(p) ** (-v.n)
-    down = [TreeVertex(p, v.n - 1, v.b + i * step) for i in range(p)]
-    return [up] + down
+    """The p + 1 vertices at distance 1: one up (towards infinity), p down.
+    The children b + i p^-n are canonical as they stand: over D = max(den,
+    p^n) their numerators are prime to p for 0 < i < p, and i = 0 is b."""
+    p, n, num, den = v
+    # the parent's b mod p^-(n+1) has numerator modulus den * p^-(n+1)
+    e = n + 1
+    mod = den * p ** -e if e <= 0 else den // p ** e
+    up = _vertex((p, e, num % mod, den) if mod > 1 else (p, e, 0, 1))
+    D = max(den, p ** n) if n > 0 else den
+    step = D // p ** n if n > 0 else D * p ** -n
+    return [up, _vertex((p, n - 1, num, den))] + [
+        _vertex((p, n - 1, num + i * step, D)) for i in range(1, p)]
 
 
 def distance(v, w):
     """Tree distance, via the smallest common ball of the two vertex balls."""
-    assert v.p == w.p
-    dv, dw = -v.n, -w.n
-    diff = v.b - w.b
-    t = ord_p(diff, v.p) if diff != 0 else None
-    join = min(dv, dw) if t is None else min(t, dv, dw)
-    return (dv - join) + (dw - join)
+    p, n, num, den = v
+    q, m, num_w, den_w = w
+    assert p == q
+    D = max(den, den_w)
+    diff = num * (D // den) - num_w * (D // den_w)
+    join = min(-n, -m)
+    if diff:
+        join = min(join, ord_p(diff, p) - ord_p(D, p))
+    return -n - m - 2 * join
 
 
 def act(g, x):

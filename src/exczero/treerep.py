@@ -86,7 +86,7 @@ class VertexFunction:
 
 def _canonical(e):
     """Store each geometric edge with the upward orientation."""
-    return (e, 1) if height(e.target) == height(e.origin) + 1 else (e.reverse(), -1)
+    return (e, 1) if e.target.n == e.origin.n + 1 else (e.reverse(), -1)
 
 
 class EdgeFunction:
@@ -177,7 +177,7 @@ def delta(c):
 
 def _edges_near(phi):
     """Each geometric edge with an end in the support of phi, once, upward."""
-    return dict.fromkeys(_canonical(TreeEdge(v, w))[0]
+    return dict.fromkeys(TreeEdge(v, w) if w.n > v.n else TreeEdge(w, v)
                          for v in phi.data for w in neighbors(v))
 
 
@@ -212,8 +212,10 @@ def twist(phi, eps):
 # -- weighted operators, rho(v) = alpha^h(v) --------------------------------
 
 def _rho(alpha, v):
-    h = height(v)
-    return alpha ** h if h >= 0 and isinstance(alpha, int) else Fraction(alpha) ** h
+    h = v.n
+    if isinstance(alpha, int) and (h >= 0 or alpha * alpha == 1):
+        return alpha ** abs(h)   # (+-1)^h = (+-1)^|h|
+    return Fraction(alpha) ** h
 
 
 def tilde_delta_down(alpha, c):
