@@ -169,11 +169,8 @@ class BallFunction:
 
     def translate(self, x):
         """(f shifted) y -> f(y - x); additive pieces only."""
-        out = []
-        for b, c in self.pieces:
-            assert isinstance(b, Ball)
-            out.append((b.translate(x), c))
-        return BallFunction(self.p, out)
+        assert all(isinstance(b, Ball) for b, _ in self.pieces)
+        return BallFunction(self.p, [(b.translate(x), c) for b, c in self.pieces])
 
     def additive_pieces(self):
         """Flatten to (additive Ball, coeff) pairs."""

@@ -189,6 +189,13 @@ def _load_curve_arg(args, parser):
     return E
 
 
+def _report(parser, fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:   # lam(0) = 0: the report's ratio is undefined
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
 def cmd_linv(args, parser):
     _check_p(parser, args.p)
     _check_range(parser, "--prec", args.prec, 1)
@@ -206,7 +213,7 @@ def cmd_interp(args, parser):
     _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
     _check_range(parser, "--prec", args.prec, 1)
     E = _load_curve_arg(args, parser)
-    rep = total_mass_report(E, args.p, args.level, args.prec)
+    rep = _report(parser, total_mass_report, E, args.p, args.level, args.prec)
     return _emit(args, rep.ok, {
         "curve": E.label, "p": args.p, "kind": rep.kind, "level": args.level,
         "total_mass": rep.total, "lam0": rep.lam_zero, "ratio": rep.ratio,
@@ -220,7 +227,8 @@ def cmd_ezero(args, parser):
     E = _load_curve_arg(args, parser)
     if reduction_type(E, args.p) != "split":
         parser.error("exceptional zero needs split multiplicative reduction")
-    rep = exceptional_zero_report(E, args.p, args.level, args.prec)
+    rep = _report(parser, exceptional_zero_report, E, args.p, args.level,
+                  args.prec)
     return _emit(args, rep.ok, {
         "curve": E.label, "p": args.p, "level": args.level,
         "lp_at_0": rep.total_mass, "lam0": rep.lam_zero,

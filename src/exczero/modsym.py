@@ -152,14 +152,14 @@ class ModularSymbolSpace:
         lam = space[0]
         values = [sum(lam[i] * self.rel_mat[i][j] for i in range(dim))
                   for j in range(len(self.p1))]
-        # normalize: integral values of content one, positive at (1 : 0)
+        # normalize: integral values of content one, positive at (1 : 0),
+        # or at the first nonzero value when lam(0) = 0 (L(E, 1) = 0)
         denom = lcm(*(v.denominator for v in values))
         ints = [int(v * denom) for v in values]
         content = gcd(*ints)
         assert content > 0, "eigensymbol vanishes identically"
         ints = [v // content for v in ints]
-        base = ints[self.p1.index((1, 0))]
-        assert base != 0, "eigensymbol vanishes at the path from 0 to infinity"
+        base = ints[self.p1.index((1, 0))] or next(v for v in ints if v)
         if base < 0:
             ints = [-v for v in ints]
         self.lam_sym = ints

@@ -64,11 +64,19 @@ class TotalMassReport:
     ok: bool
 
 
+def _symbol_space(E):
+    """E's symbol space, for a report that divides by lam(0)."""
+    msym = ModularSymbolSpace(E)
+    if msym.lam_zero() == 0:
+        raise ValueError(f"lam(0) = 0 for {E.label}: L(E, 1) vanishes")
+    return msym
+
+
 def total_mass_report(E, p, level, prec=DEFAULT_PREC):
     """Compare mu(Z_p^*) / lam(0) with the interpolation prediction:
     (1 - 1/alpha)^2 at good ordinary p, 0 at split multiplicative p,
     2 at nonsplit multiplicative p."""
-    msym = ModularSymbolSpace(E)
+    msym = _symbol_space(E)
     mu = mtt_measure(E, p, level, prec, msym)
     rep = check_distribution_and_bound(mu)
     assert rep.ok, "distribution relation failed"
@@ -110,7 +118,7 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     the first log-moment divided by lam(0) matches the L-invariant to the
     Riemann-sum precision (p^level for an exact integral measure)."""
     assert reduction_type(E, p) == "split", "needs split multiplicative p"
-    msym = ModularSymbolSpace(E)
+    msym = _symbol_space(E)
     mu = mtt_measure(E, p, level, prec, msym)
     rep = check_distribution_and_bound(mu)
     assert rep.ok, "distribution relation failed"

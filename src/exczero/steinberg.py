@@ -68,13 +68,9 @@ class EllFunction:
     def act(self, t):
         """(t.f)(x) = f(t^{-1} x): scale regions by t and absorb the shift
         of the ell-weighted part, ell(t^{-1}x) = ell(x) - ell(t)."""
-        t = Fraction(t)
-        assert t != 0
-        lt = self.ell(t)
-        out = []
-        for region, const, weight in self.pieces:
-            out.append((region.scale(t), const - lt * weight, weight))
-        return EllFunction(self.ell, out)
+        lt = self.ell(t)   # asserts t != 0
+        return EllFunction(self.ell, [(region.scale(t), const - lt * weight, weight)
+                                      for region, const, weight in self.pieces])
 
     def __repr__(self):
         return f"EllFunction({self.pieces!r})"
@@ -98,18 +94,12 @@ def z_ell(a, ell):
     """The cocycle value z_ell(a) = (1 - a)(ell * 1_O) as an EllFunction:
     ell(a) on aO plus (or minus) ell itself on the valuation shells between
     O and aO."""
-    a = Fraction(a)
     assert a != 0
     p = ell.p
     m = ord_p(a, p)
-    pieces = [(Ball(p, Fraction(0), m), ell(a), 0)]
-    if m >= 0:
-        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, 1)
-                  for k in range(0, m)]
-    else:
-        shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, -1)
-                  for k in range(m, 0)]
-    return EllFunction(ell, pieces + shells)
+    shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, 1 if m >= 0 else -1)
+              for k in range(min(m, 0), max(m, 0))]
+    return EllFunction(ell, [(Ball(p, Fraction(0), m), ell(a), 0)] + shells)
 
 
 def coboundary_check(a, x, ell):

@@ -13,7 +13,7 @@ from .linalg import solve
 from .padic import ord_p
 from .tree import (
     TreeEdge, act, ball_vertices, base_vertex, distance,
-    edge_of_ball, height, neighbors,
+    edge_of_ball, ends, height, neighbors,
 )
 
 __all__ = [
@@ -318,15 +318,10 @@ def solve_delta_preimage(phi, sign, R, center=None):
     center = center or base_vertex(p)
     verts = sorted(ball_vertices(p, R + 1, center),
                    key=lambda v: (height(v), str(v.b)))
-    edges = []
     vset = set(verts)
-    for v in verts:
-        for w in neighbors(v):
-            if w in vset:
-                e, orient = _canonical(TreeEdge(v, w))
-                if orient == 1:
-                    edges.append(e)
-    edges = sorted(set(edges), key=lambda e: (height(e.origin), str(e.origin.b)))
+    # upward edges, in the order of their origins (one per origin)
+    edges = [TreeEdge(v, w) for v in verts for w in neighbors(v)
+             if w in vset and w.n == v.n + 1]
     eidx = {e: j for j, e in enumerate(edges)}
     flip = -sign
     rows, rhs = [], []
@@ -376,27 +371,18 @@ def harmonic_from_point_masses(p, masses, radius, center=None):
 
     masses: list of (point, mass) with point a rational or the string 'inf';
     total mass must vanish."""
-    from .tree import ends
     assert sum(m for _, m in masses) == 0
     center = center or base_vertex(p)
     c = EdgeFunction(p, 1)
     verts = ball_vertices(p, radius, center)
-    seen = set()
     for v in verts:
         for w in neighbors(v):
-            if w not in verts:
-                continue
-            e, orient = _canonical(TreeEdge(v, w))
-            if e in seen or orient != 1:
-                continue
-            seen.add(e)
-            U = ends(e)
-            val = Fraction(0)
-            for pt, m in masses:
-                inside = U.contains_infinity() if pt == "inf" else U.contains(pt)
-                if inside:
-                    val += Fraction(m)
-            c.set(e, val)
+            if w in verts and w.n == v.n + 1:   # each edge once, upward
+                e = TreeEdge(v, w)
+                U = ends(e)
+                c.set(e, sum(m for pt, m in masses
+                             if (U.contains_infinity() if pt == "inf"
+                                 else U.contains(pt))))
     return HarmonicCocycle(c, radius, center)
 
 

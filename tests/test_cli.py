@@ -182,3 +182,16 @@ def test_seed_determinism(capsys):
     _, out1 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)
     _, out2 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["ezero", "interp"])
+def test_rank_one_curve_exits_2(command, tmp_path, capsys):
+    # y^2 + y = x^3 + x^2 - 7x + 5 has rank one: L(E, 1) = 0, so lam(0) = 0
+    # and the reports' ratios are undefined; 7 is a split prime for it
+    curve = tmp_path / "91a1.txt"
+    curve.write_text("91a1 91 0 1 1 -7 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--curve", str(curve), "--p", "7", "--level", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lam(0) = 0 for 91a1" in err

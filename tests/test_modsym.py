@@ -171,3 +171,12 @@ def test_lam_sym_pinned(M11, M15):
     assert M11.lam_sym == [-2, 2, 0, 10, 5, -5, -10, -10, -5, 5, 10, 0]
     assert M15.lam_sym == [-1, 1, 0, 4, 2, 0, -1, -2, -4, -4, -2, -1, 0, 2,
                            4, 0, -2, 2, -2, 1, 2, 1, 1, -1]
+
+
+def test_rank_one_eigensymbol_is_normalised_at_its_first_nonzero_value():
+    # y^2 + y = x^3 + x^2 - 7x + 5, of rank one: its path from 0 to
+    # infinity pairs to 0
+    M = ModularSymbolSpace(EllipticCurve("91a1", 91, 0, 1, 1, -7, 5))
+    assert M.lam_zero() == 0
+    first = next(v for v in M.lam_sym if v)
+    assert first > 0 and gcd(*M.lam_sym) == 1
