@@ -16,7 +16,7 @@ from .measures import (
     moment,
 )
 from .padic import DEFAULT_PREC, ord_p
-from .pipeline import exceptional_zero_report, total_mass_report
+from .pipeline import VanishingLValue, exceptional_zero_report, total_mass_report
 from .suite import (
     criterion_determinant, criterion_steinberg, criterion_tree_identities,
     run_suite,
@@ -192,7 +192,7 @@ def _load_curve_arg(args, parser):
 def _report(parser, fn, *args):
     try:
         return fn(*args)
-    except ValueError as exc:   # lam(0) = 0: the report's ratio is undefined
+    except VanishingLValue as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

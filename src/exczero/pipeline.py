@@ -12,7 +12,7 @@ from .modsym import ModularSymbolSpace
 from .padic import DEFAULT_PREC, PadicNumber, from_rational, unit_root
 
 __all__ = ["mtt_measure", "total_mass_report", "exceptional_zero_report",
-           "TotalMassReport", "ExceptionalZeroReport"]
+           "TotalMassReport", "ExceptionalZeroReport", "VanishingLValue"]
 
 
 def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
@@ -64,11 +64,15 @@ class TotalMassReport:
     ok: bool
 
 
+class VanishingLValue(ValueError):
+    """lam(0) = 0, so L(E, 1) = 0 and a report's ratio to it is undefined."""
+
+
 def _symbol_space(E):
     """E's symbol space, for a report that divides by lam(0)."""
     msym = ModularSymbolSpace(E)
     if msym.lam_zero() == 0:
-        raise ValueError(f"lam(0) = 0 for {E.label}: L(E, 1) vanishes")
+        raise VanishingLValue(f"lam(0) = 0 for {E.label}: L(E, 1) vanishes")
     return msym
 
 

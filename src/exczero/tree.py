@@ -97,7 +97,7 @@ def neighbors(v):
     The children b + i p^-n are canonical as they stand: over D = max(den,
     p^n) their numerators are prime to p for 0 < i < p, and i = 0 is b."""
     p, n, num, den = v
-    # the parent's b mod p^-(n+1) has numerator modulus den * p^-(n+1)
+    # up: b mod p^-(n+1), numerator modulus den * p^-(n+1); 0 if that is <= 1
     e = n + 1
     mod = den * p ** -e if e <= 0 else den // p ** e
     up = _vertex((p, e, num % mod, den) if mod > 1 else (p, e, 0, 1))
