@@ -37,10 +37,10 @@ class TreeVertex(tuple):
 
     @property
     def b(self):
-        return Fraction(self[2], self[3])
+        return Fraction(self.num, self.den)
 
     def __repr__(self):
-        return f"V(p={self[0]}; {self[1]}, {self.b})"
+        return f"V(p={self.p}; {self.n}, {self.b})"
 
 
 def _vertex(key):
@@ -58,10 +58,10 @@ class TreeEdge(tuple):
         return tuple.__new__(cls, (origin, target))
 
     def reverse(self):
-        return tuple.__new__(TreeEdge, (self[1], self[0]))
+        return tuple.__new__(TreeEdge, (self.target, self.origin))
 
     def __repr__(self):
-        return f"E({self[0]} -> {self[1]})"
+        return f"E({self.origin} -> {self.target})"
 
 
 def base_vertex(p):
