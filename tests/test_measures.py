@@ -8,7 +8,7 @@ from exczero.measures import (
     load_measure, moment, save_measure, vanishing_order,
 )
 from exczero.curves import EllipticCurve
-from exczero.padic import exp_p, from_rational, log_iwasawa
+from exczero.padic import exp_p, from_rational, log_iwasawa, ord_p
 from exczero.pipeline import mtt_measure
 
 E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
@@ -257,3 +257,86 @@ def test_distribution_report_is_computed_once():
     gamma_transform(mu, 5, 3)
     vanishing_order(mu, 2, 3)
     assert mu.report is rep and check_distribution_and_bound(mu) is rep
+
+
+def _reference_check(mu):
+    """The distribution check as a loop of dict lookups, p per ball."""
+    p, vals = mu.p, mu.values
+    failures = []
+    for n in range(1, mu.N):
+        pn = p ** n
+        for a in range(1, pn):
+            if a % p == 0:
+                continue
+            diff = vals.get((n, a), 0) - sum(
+                vals.get((n + 1, a + b * pn), 0) for b in range(p))
+            if diff != 0 and (mu.modulus is None
+                              or ord_p(diff, p) < mu.modulus):
+                failures.append((n, a))
+    worst = max((-ord_p(v, p) for v in vals.values()
+                 if Fraction(v).denominator % p == 0), default=0)
+    return not failures, worst, failures
+
+
+def _perturbed(mu, n, delta):
+    """A fresh copy of mu with delta added at the middle unit of level n."""
+    vals = dict(mu.values)
+    keys = sorted(a for (m, a) in vals if m == n)
+    key = (n, keys[len(keys) // 2])
+    vals[key] += delta
+    return BallMeasure(mu.p, mu.N, vals, mu.modulus)
+
+
+def test_distribution_check_matches_dict_reference():
+    E15 = EllipticCurve("15a1", 15, 1, 1, 1, -10, -10)
+    measures = [mtt_measure(E11, 11, 3), mtt_measure(E11, 3, 4, prec=6),
+                mtt_measure(E11, 5, 3, prec=5), mtt_measure(E15, 3, 4),
+                mtt_measure(E15, 5, 3)]
+    fractional = mtt_measure(E15, 5, 3).scale(Fraction(2, 25)) \
+        + dirac(5, 3, 7).scale(Fraction(1, 3))
+    cases = []
+    for mu in measures + [fractional]:
+        cases.append(mu)
+        for n in (1, (1 + mu.N) // 2, mu.N):
+            cases.append(_perturbed(mu, n, 1 if mu.modulus is None
+                                    else mu.p ** (mu.modulus - 1)))
+    for mu in measures:
+        if mu.modulus is not None:
+            for n in (1, mu.N):
+                ok = _perturbed(mu, n, mu.p ** mu.modulus * 7)
+                assert check_distribution_and_bound(ok).ok
+                cases.append(ok)
+    for mu in cases:
+        want = _reference_check(mu)
+        got = check_distribution_and_bound(mu)
+        assert (got.ok, got.bound_cert, got.failures) == want
+    assert check_distribution_and_bound(fractional).bound_cert == 2
+    assert all(check_distribution_and_bound(mu).ok for mu in measures)
+    assert sum(not check_distribution_and_bound(mu).ok for mu in cases) \
+        == 3 * len(measures) + 3
+
+
+def test_claimed_precision_against_a_higher_level():
+    # a Riemann sum at level 1-3 agrees with the same sum at the top level
+    # mod p^(its claimed error exponent): 11a1 at its split prime 11, at
+    # the good ordinary prime 3 (modulus 12), and with a modulus (4) that
+    # caps the claim at p = 5
+    cases = [(mtt_measure(E11, 11, 4), 4), (mtt_measure(E11, 3, 5, prec=12), 5),
+             (mtt_measure(E11, 5, 5, prec=4), 5)]
+    prec = 12
+    for mu, top in cases:
+        p = mu.p
+        for k in (1, 2):
+            want = moment(mu, k, top, prec)
+            for level in (1, 2, 3):
+                got = moment(mu, k, level, prec)
+                assert got.abs_prec <= want.abs_prec, (p, k, level)
+                assert (got - want).truncate_abs(got.abs_prec).is_zero, \
+                    (p, k, level, got, want)
+        want, want_err = gamma_transform(mu, p, top, prec)
+        for level in (1, 2, 3):
+            got, err = gamma_transform(mu, p, level, prec)
+            assert err == (level + 1 if mu.modulus is None
+                           else min(level + 1, mu.modulus))
+            assert err <= want_err
+            assert (got - want).truncate_abs(err).is_zero, (p, level)

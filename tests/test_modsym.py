@@ -180,3 +180,39 @@ def test_rank_one_eigensymbol_is_normalised_at_its_first_nonzero_value():
     assert M.lam_zero() == 0
     first = next(v for v in M.lam_sym if v)
     assert first > 0 and gcd(*M.lam_sym) == 1
+
+
+def _kernel(M, n, d):
+    """lam at n/d through the evaluation kernel."""
+    return M.lam(Fraction(n, d))
+
+
+def test_kernel_matches_fraction_reference_on_every_ball(M11, M15):
+    # every unit x/p^n of the measures, x/p^(n-1) with x up to p^n (the
+    # good-ordinary branch's second term), twisted denominators p^n D
+    cases = [(M11, 11, 4), (M15, 3, 5), (M15, 5, 5)]
+    for M, p, top in cases:
+        for n in range(1, top + 1):
+            pn = p ** n
+            for x in range(1, pn):
+                if x % p:
+                    assert _kernel(M, x, pn) == _reference_lam(M, Fraction(x, pn)), \
+                        (M.N, x, pn)
+    for p, top in ((3, 5), (5, 4)):
+        for n in range(1, top + 1):
+            for x in range(1, p ** n):
+                if x % p:
+                    r = Fraction(x, p ** (n - 1))
+                    assert _kernel(M11, x, p ** (n - 1)) == _reference_lam(M11, r)
+    rng = random.Random(43)
+    for D in (5, 12, 37):
+        for n in range(1, 4):
+            den = 11 ** n * D
+            for x in rng.sample(range(1, den), min(100, den - 1)):
+                if gcd(x, den) == 1:
+                    for num in (x, -x, x - 3 * den):
+                        assert _kernel(M11, num, den) == \
+                            _reference_lam(M11, Fraction(num, den)), (num, den)
+    for M in (M11, M15):
+        for n in range(-12, 13):
+            assert _kernel(M, n, 1) == _reference_lam(M, n) == M.lam_zero()
