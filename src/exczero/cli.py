@@ -31,10 +31,13 @@ MAX_DET_SIZE = 6        # the expansion sums over m! permutations
 MAX_TREE_RADIUS = 3     # a ball of radius 3 at p = 13 holds 2,563 vertices
 
 
-def _emit(args, ok, details):
+def _emit(args, ok, details, json_only=None):
+    """The PASS/FAIL line, or a JSON object: details as strings, json_only
+    as it is."""
     status = "PASS" if ok else "FAIL"
     if args.format == "json":
-        print(json.dumps({"status": status, **{k: str(v) for k, v in details.items()}}))
+        print(json.dumps({"status": status, **{k: str(v) for k, v in details.items()},
+                          **(json_only or {})}))
     else:
         kv = " ".join(f"{k}={v}" for k, v in details.items())
         print(f"{status} {kv}".rstrip())
@@ -179,13 +182,21 @@ def cmd_lp(args, parser):
                             "value": val, "err_exp": err})
 
 
-def _load_curve_arg(args, parser):
+def _load_curve_arg(args, parser, split_for=None):
+    """The --curve file's curve after the checks of --p, --prec and any
+    --level; split_for names what needs a split multiplicative --p."""
+    _check_p(parser, args.p)
+    _check_range(parser, "--prec", args.prec, 1)
+    if "level" in args:
+        _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
     try:
         E = load_curve(args.curve)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read curve file: {exc}")
     if E.N > MAX_N:
         parser.error(f"conductor exceeds the desk cap {MAX_N}")
+    if split_for and reduction_type(E, args.p) != "split":
+        parser.error(f"{split_for} needs split multiplicative reduction")
     return E
 
 
@@ -197,11 +208,7 @@ def _report(parser, fn, *args):
 
 
 def cmd_linv(args, parser):
-    _check_p(parser, args.p)
-    _check_range(parser, "--prec", args.prec, 1)
-    E = _load_curve_arg(args, parser)
-    if reduction_type(E, args.p) != "split":
-        parser.error("L-invariant needs split multiplicative reduction")
+    E = _load_curve_arg(args, parser, "L-invariant")
     q = tate_period(E, args.p, args.prec)
     L = l_invariant(E, args.p, args.prec)
     return _emit(args, True, {"curve": E.label, "p": args.p,
@@ -209,9 +216,6 @@ def cmd_linv(args, parser):
 
 
 def cmd_interp(args, parser):
-    _check_p(parser, args.p)
-    _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
-    _check_range(parser, "--prec", args.prec, 1)
     E = _load_curve_arg(args, parser)
     rep = _report(parser, total_mass_report, E, args.p, args.level, args.prec)
     return _emit(args, rep.ok, {
@@ -221,33 +225,23 @@ def cmd_interp(args, parser):
 
 
 def cmd_ezero(args, parser):
-    _check_p(parser, args.p)
-    _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
-    _check_range(parser, "--prec", args.prec, 1)
-    E = _load_curve_arg(args, parser)
-    if reduction_type(E, args.p) != "split":
-        parser.error("exceptional zero needs split multiplicative reduction")
+    E = _load_curve_arg(args, parser, "exceptional zero")
     rep = _report(parser, exceptional_zero_report, E, args.p, args.level,
                   args.prec)
     return _emit(args, rep.ok, {
         "curve": E.label, "p": args.p, "level": args.level,
         "lp_at_0": rep.total_mass, "lam0": rep.lam_zero,
         "moment1_ratio": rep.moment1_ratio, "l_invariant": rep.l_inv,
-        "bound_cert": rep.bound_cert, "match_exp": rep.match_exp})
+        "bound_cert": rep.bound_cert, "match_exp": rep.match_exp},
+        {"stage_s": rep.stage_s})
 
 
 def cmd_suite(args, parser):
-    results = run_suite(seed=args.seed, quick=args.quick)
     status = 0
-    for r in results:
-        if args.format == "json":
-            print(json.dumps({"criterion": r.name,
-                              "status": "PASS" if r.ok else "FAIL",
-                              "elapsed": round(r.elapsed, 2),
-                              **{k: str(v) for k, v in r.details.items()}}))
-        else:
-            print(r.machine_line())
-        status |= 0 if r.ok else 1
+    for r in run_suite(seed=args.seed, quick=args.quick):
+        status |= _emit(args, r.ok, {"criterion": r.name,
+                                     "elapsed": f"{r.elapsed:.2f}", **r.details},
+                        {"elapsed": round(r.elapsed, 2)})
     return status
 
 

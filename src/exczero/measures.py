@@ -53,9 +53,8 @@ class BallMeasure:
 
     def __add__(self, other):
         assert (self.p, self.N) == (other.p, other.N)
-        mod = None
-        if self.modulus is not None or other.modulus is not None:
-            mod = min(m for m in (self.modulus, other.modulus) if m is not None)
+        mod = min((m for m in (self.modulus, other.modulus) if m is not None),
+                  default=None)
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, 0) + v
@@ -94,16 +93,19 @@ def check_distribution_and_bound(mu):
     if mu.report is not None:
         return mu.report
     p, vals = mu.p, mu.values
+    # dense[n][a] = mu(a + p^n Z_p), 0 off the units; the refinements
+    # a + b p^n, 0 <= b < p, of a ball at level n are dense[n + 1][a::p^n],
+    # and those of a ball off the units are off the units too
+    dense = [[0] * pn for pn in mu.pn]
+    for (n, a), v in vals.items():
+        dense[n][a] = v
     failures = []
     for n in range(1, mu.N):
-        pn = mu.pn[n]
-        for a in mu.level_keys(n):
-            # the refinements a + b p^n, 0 <= b < p, are reduced mod p^(n+1)
-            diff = vals.get((n, a), 0) - sum(
-                vals.get((n + 1, a + b * pn), 0) for b in range(p))
-            if diff != 0:
-                if mu.modulus is None or ord_p(diff, p) < mu.modulus:
-                    failures.append((n, a))
+        pn, level, finer = mu.pn[n], dense[n], dense[n + 1]
+        for a in range(1, pn):
+            diff = level[a] - sum(finer[a::pn])
+            if diff and (mu.modulus is None or ord_p(diff, p) < mu.modulus):
+                failures.append((n, a))
     # only a value with p in its denominator has negative valuation
     worst = max((-ord_p(v, p) for v in vals.values() if v.denominator % p == 0),
                 default=0)

@@ -44,11 +44,6 @@ class P1:
     def __iter__(self):
         return iter(self._list)
 
-    def reduce(self, pair):
-        """Canonical representative, or None when gcd(u, v, N) > 1."""
-        i = self.flat[pair[0] % self.N * self.N + pair[1] % self.N]
-        return None if i is None else self._list[i]
-
     def index(self, pair):
         i = self.flat[pair[0] % self.N * self.N + pair[1] % self.N]
         assert i is not None, "pair not coprime to the level"
@@ -126,9 +121,6 @@ class ModularSymbolSpace:
     def hecke_matrix(self, n):
         return self._action_matrix(list(heilbronn_matrices(n)))
 
-    def star_matrix(self):
-        return self._action_matrix([(-1, 0, 0, 1)])
-
     # -- the dual eigensymbol ------------------------------------------------
 
     def _build_eigensymbol(self, max_hecke_prime):
@@ -138,7 +130,7 @@ class ModularSymbolSpace:
             return [[m[i][j] - (a if i == j else 0) for i in range(dim)]
                     for j in range(dim)]
 
-        constraints = transposed_minus(self.star_matrix(), 1)
+        constraints = transposed_minus(self._action_matrix([(-1, 0, 0, 1)]), 1)
         space = nullspace(constraints, dim)
         ell = 2
         while len(space) > 1:
@@ -163,31 +155,41 @@ class ModularSymbolSpace:
         if base < 0:
             ints = [-v for v in ints]
         self.lam_sym = ints
-        # lam_sym by bottom row (c mod N, d mod N), at c * N + d
+        # lam_sym by bottom row (c mod N, d mod N), at c * N + d, and by
+        # (c, -d) for the convergents of odd index
         self._lam_by_row = [None if i is None else ints[i]
                             for i in self.p1.flat]
+        self._lam_by_row_neg = [self._lam_by_row[c * self.N + -d % self.N]
+                                for c in range(self.N) for d in range(self.N)]
 
     # -- evaluation ------------------------------------------------------------
 
     def lam(self, r):
-        """The eigensymbol paired with the path from infinity to r, an int
-        or a Fraction: the sum over the unimodular matrices whose translates
-        of the path from 0 to infinity chain from infinity to r.  Their
-        bottom rows (q_k, (-1)^(k-1) q_(k-1)) are the convergent
-        denominators, by Euclid on r's numerator and denominator."""
-        N, table = self.N, self._lam_by_row
-        n, d = r.numerator, r.denominator
-        q_prev2, q_prev = 1, 0  # q_{-2}, q_{-1}
-        sign = 1                # (-1)^(k-1) for k = 0
-        total = 0
-        while True:
-            a, n = divmod(n, d)
-            q = a * q_prev + q_prev2
-            total += table[q % N * N + sign * q_prev % N]
-            if n == 0:
+        """lam_ratio at an int or a Fraction r."""
+        return self.lam_ratio(r.numerator, r.denominator)
+
+    def lam_ratio(self, n, d):
+        """The eigensymbol paired with the path from infinity to n/d, for
+        ints n and d > 0: the sum over the unimodular
+        matrices whose translates of the path from 0 to infinity chain from
+        infinity to n/d.  Their bottom rows (q_k, (-1)^k q_(k-1)) are the
+        convergent denominators, by Euclid on n and d; only q_k mod N is
+        kept, and the loop takes the steps of odd and even k in turn."""
+        N, plus, minus = self.N, self._lam_by_row, self._lam_by_row_neg
+        # k = 0: the bottom row (q_0, q_-1) is (1, 0) whatever the first
+        # quotient, so lam has period one
+        n %= d
+        total, q_even, q_odd = plus[N], 1, 0
+        while n:
+            a, d = divmod(d, n)
+            q_odd = (a * q_even + q_odd) % N
+            total += minus[q_odd * N + q_even]
+            if not d:
                 return total
-            n, d = d, n
-            q_prev2, q_prev, sign = q_prev, q, -sign
+            a, n = divmod(n, d)
+            q_even = (a * q_odd + q_even) % N
+            total += plus[q_even * N + q_odd]
+        return total
 
     def lam_zero(self):
         return self.lam_sym[self.p1.index((1, 0))]

@@ -5,6 +5,7 @@ split multiplicative prime."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
 
 from .curves import ap, l_invariant, reduction_type
 from .measures import BallMeasure, check_distribution_and_bound, moment
@@ -28,26 +29,29 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     assert kind != "additive", "additive reduction"
     if msym is None:
         msym = ModularSymbolSpace(E)
-    vals = {}
+    lam, vals = msym.lam_ratio, {}
     if kind == "good":
         a = ap(E, p)
         assert a % p != 0, "supersingular prime"
         mod = p ** prec
         ainv = int(unit_root(a, p, prec).inverse().unit_mod(prec))
+        # prev[y] = lam(y/p^(n-1)) from the level below; lam has period
+        # one, so lam(x/p^(n-1)) = prev[x mod p^(n-1)]
+        raw = [lam(0, 1)]
         for n in range(1, level + 1):
             pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
+            prev, raw, below = raw, [0] * pn, pn // p
             for x in range(1, pn):
                 if x % p:
-                    v = (c0 * msym.lam(Fraction(x, pn))
-                         - c1 * msym.lam(Fraction(x, pn // p)))
-                    vals[(n, x)] = v % mod
+                    raw[x] = lam(x, pn)
+                    vals[(n, x)] = (c0 * raw[x] - c1 * prev[x % below]) % mod
         return BallMeasure(p, level, vals, modulus=prec)
     a = 1 if kind == "split" else -1
     for n in range(1, level + 1):
         pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
         for x in range(1, pn):
             if x % p:
-                vals[(n, x)] = sign * msym.lam(Fraction(x, pn))
+                vals[(n, x)] = sign * lam(x, pn)
     return BallMeasure(p, level, vals)
 
 
@@ -68,22 +72,31 @@ class VanishingLValue(ValueError):
     """lam(0) = 0, so L(E, 1) = 0 and a report's ratio to it is undefined."""
 
 
-def _symbol_space(E):
-    """E's symbol space, for a report that divides by lam(0)."""
-    msym = ModularSymbolSpace(E)
+def _timed(stage_s, stage, fn, *args):
+    """fn(*args), with its perf_counter seconds recorded at stage_s[stage]."""
+    t0 = perf_counter()
+    out = fn(*args)
+    stage_s[stage] = perf_counter() - t0
+    return out
+
+
+def _checked_measure(E, p, level, prec, stage_s):
+    """E's symbol space and its measure at p, distribution-checked, for a
+    report that divides by lam(0); stage_s gets the time of each stage."""
+    msym = _timed(stage_s, "symbol_space", ModularSymbolSpace, E)
     if msym.lam_zero() == 0:
         raise VanishingLValue(f"lam(0) = 0 for {E.label}: L(E, 1) vanishes")
-    return msym
+    mu = _timed(stage_s, "measure", mtt_measure, E, p, level, prec, msym)
+    rep = _timed(stage_s, "check", check_distribution_and_bound, mu)
+    assert rep.ok, "distribution relation failed"
+    return msym, mu, rep
 
 
 def total_mass_report(E, p, level, prec=DEFAULT_PREC):
     """Compare mu(Z_p^*) / lam(0) with the interpolation prediction:
     (1 - 1/alpha)^2 at good ordinary p, 0 at split multiplicative p,
     2 at nonsplit multiplicative p."""
-    msym = _symbol_space(E)
-    mu = mtt_measure(E, p, level, prec, msym)
-    rep = check_distribution_and_bound(mu)
-    assert rep.ok, "distribution relation failed"
+    msym, mu, _ = _checked_measure(E, p, level, prec, {})
     total = mu.mass(level)
     lam0 = msym.lam_zero()
     kind = reduction_type(E, p)
@@ -115,6 +128,7 @@ class ExceptionalZeroReport:
     bound_cert: int                # c with ord(mu) >= -c
     match_exp: int                 # the two agree mod p^match_exp
     ok: bool
+    stage_s: dict                  # perf_counter seconds per stage
 
 
 def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
@@ -122,17 +136,15 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     the first log-moment divided by lam(0) matches the L-invariant to the
     Riemann-sum precision (p^level for an exact integral measure)."""
     assert reduction_type(E, p) == "split", "needs split multiplicative p"
-    msym = _symbol_space(E)
-    mu = mtt_measure(E, p, level, prec, msym)
-    rep = check_distribution_and_bound(mu)
-    assert rep.ok, "distribution relation failed"
+    st = {}
+    msym, mu, rep = _checked_measure(E, p, level, prec, st)
     lam0 = msym.lam_zero()
     total = mu.mass(level)
-    m1 = moment(mu, 1, level, prec)
+    m1 = _timed(st, "moment", moment, mu, 1, level, prec)
     ratio = m1 * Fraction(1, lam0)
-    linv = l_invariant(E, p, prec)
+    linv = _timed(st, "l_invariant", l_invariant, E, p, prec)
     match_exp = level - rep.bound_cert
     diff = (ratio - linv).truncate_abs(match_exp)
     ok = total == 0 and diff.is_zero
     return ExceptionalZeroReport(E.label, p, level, lam0, total, ratio,
-                                 linv, rep.bound_cert, match_exp, ok)
+                                 linv, rep.bound_cert, match_exp, ok, st)

@@ -101,6 +101,18 @@ def test_ezero_report(capsys):
     assert "lp_at_0=0" in out
 
 
+def test_ezero_json_carries_stage_timings(capsys):
+    code, out = run(["--format", "json", "ezero", "--curve", CURVE11,
+                     "--p", "11", "--level", "2", "--prec", "8"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "PASS" and rep["lp_at_0"] == "0"
+    stages = rep["stage_s"]
+    assert set(stages) == {"symbol_space", "measure", "check", "moment",
+                           "l_invariant"}
+    assert all(isinstance(t, float) and t >= 0 for t in stages.values())
+
+
 def test_ezero_rejects_nonsplit():
     with pytest.raises(SystemExit) as exc:
         main(["ezero", "--curve", CURVE15, "--p", "3", "--level", "2"])
