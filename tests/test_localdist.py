@@ -1,10 +1,14 @@
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
 from exczero.balls import Ball, BallFunction, MultBall, P1Piece
-from exczero.characters import all_primitive_characters, trivial_character
+from exczero.characters import (
+    all_primitive_characters, character_from_log, primitive_root,
+    trivial_character,
+)
 from exczero.cyclotomic import CValue
 from exczero.localdist import (
     integrate_mu_alpha, mellin_mu_alpha, mellin_target, mu_alpha_ball,
@@ -221,3 +225,32 @@ def test_shell_integral_matches_closed_form_assembly():
     chi = trivial_character(7, t=Fraction(3))
     val = shell_integral(chi, CValue.exact(1), -1)
     assert val == CValue.exact(Fraction(-1, 6)) * (chi.t ** (-1))
+
+
+def _interpolation_reference(p, k, alpha):
+    """tau(chi) e(alpha, chi) L(1/2, pi_alpha x chi) by cmath alone, for
+    chi(g^j) = exp(2 pi i k j / (p - 1)) with chi(p) = 1 (k = 0: trivial).
+
+    tau is the sum of psi(u / p) chi(u) with psi(x) = exp(2 pi i x).  For
+    ramified chi, e = alpha^-1 and L = 1; for trivial chi, e = (1 - 1/alpha)^2
+    and L = 1 / ((1 - 1/alpha)(1 - alpha/p))."""
+    if k == 0:
+        return (1 - 1 / alpha) ** 2 / ((1 - 1 / alpha) * (1 - alpha / p))
+    g = primitive_root(p, 1)
+    tau, u = 0j, 1
+    for j in range(p - 1):
+        tau += cmath.exp(2j * cmath.pi * (u / p + k * j / (p - 1)))
+        u = u * g % p
+    return tau / alpha
+
+
+def test_sqrt_targets_match_cmath_reference():
+    # criterion 3's full pool: the trivial and every primitive character
+    # mod p = 3, 5, at alpha = sqrt(p)
+    for p in (3, 5):
+        alpha = float(p) ** 0.5
+        for k in range(p - 1):
+            chi = character_from_log(p, 1, k) if k else trivial_character(p)
+            target = mellin_target(chi, alpha)
+            assert abs(target.to_complex()
+                       - _interpolation_reference(p, k, p ** 0.5)) <= 1e-12
