@@ -1,12 +1,12 @@
 """Quasicharacters of Q_p^*, the additive character psi, the exact unit
 character sum and Gauss sums, the closed-form Mellin integral, local
-L-factors, and the Euler factors e(alpha, chi)."""
+L-factors, the Euler factors e(alpha, chi), and sqrt(q) in Q(zeta_4q)."""
 
 from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Cyclotomic, CValue, zeta
+from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .padic import ord_p
 
 __all__ = [
@@ -14,7 +14,7 @@ __all__ = [
     "gauss_sum",
     "mellin_closed_form", "euler_factor", "local_L",
     "trivial_character", "character_from_log", "all_primitive_characters",
-    "legendre_character", "primitive_root",
+    "legendre_character", "primitive_root", "sqrt_q",
 ]
 
 
@@ -74,7 +74,7 @@ class Quasicharacter:
 
     def __init__(self, p, t, f, unit_table=None):
         self.p = p
-        self.t = CValue.lift(t)
+        self.t = as_cyclotomic(t)
         table = dict(unit_table or {})
         f, table = _primitivize(p, f, table)
         self.f = f
@@ -83,7 +83,7 @@ class Quasicharacter:
     def value_at_unit(self, u):
         """chi(u) for a p-adic unit u (rational, prime-to-p denominator)."""
         if self.f == 0:
-            return CValue.exact(1)
+            return Cyclotomic.from_rational(1)
         m = self.p ** self.f
         u = Fraction(u)
         r = u.numerator * pow(u.denominator, -1, m) % m
@@ -96,8 +96,8 @@ class Quasicharacter:
         return self.t ** v * self.value_at_unit(x / Fraction(self.p) ** v)
 
     def inverse(self):
-        table = {u: CValue.exact(1) / c for u, c in self.unit_table.items()}
-        return Quasicharacter(self.p, CValue.exact(1) / self.t, self.f, table)
+        table = {u: 1 / c for u, c in self.unit_table.items()}
+        return Quasicharacter(self.p, 1 / self.t, self.f, table)
 
     def at_minus_one(self):
         return self.value_at_unit(-1)
@@ -110,7 +110,7 @@ def _primitivize(p, f, table):
     """Drop the conductor exponent while the table factors through a lower level."""
     while f >= 1:
         if f == 1:
-            if all(v == CValue.exact(1) for v in table.values()):
+            if all(v == 1 for v in table.values()):
                 return 0, {}
             return f, table
         lower = p ** (f - 1)
@@ -125,7 +125,7 @@ def _primitivize(p, f, table):
 
 
 def trivial_character(p, t=1):
-    return Quasicharacter(p, CValue.lift(t), 0)
+    return Quasicharacter(p, t, 0)
 
 
 def character_from_log(p, f, k, t=1):
@@ -176,10 +176,10 @@ def unit_psi_chi_integral(chi, a):
     if pk > pm:
         # u -> u + p^(k-1) j fixes chi(u) and turns psi(a u) through every
         # p-th root of unity, so the mean is 0
-        return CValue.exact(0)
+        return Cyclotomic.from_rational(0)
     counts = Counter((u % pf, b * u % pk) for u in range(1, pm) if u % p)
     keys = {key for key, _ in counts}
-    values = {key: chi.value_at_unit(key).val for key in keys}
+    values = {key: chi.value_at_unit(key) for key in keys}
     L = lcm(pk, *(v.level for v in values.values()))
     sums = {}
     for (key, e), n in counts.items():
@@ -190,8 +190,7 @@ def unit_psi_chi_integral(chi, a):
             sums[x] = sums.get(x, 0) + n * c
     units = pm - pm // p
     means = {c: Fraction(c, units) for c in set(sums.values())}
-    return CValue.exact(Cyclotomic._of(
-        L, {x: means[c] for x, c in sums.items() if c}))
+    return Cyclotomic._of(L, {x: means[c] for x, c in sums.items() if c})
 
 
 def gauss_sum(chi):
@@ -217,48 +216,39 @@ def mellin_closed_form(chi):
         raise ValueError("divergent: |chi(p)| >= q")
     if chi.f > 0:
         return gauss_sum(chi)
-    one = CValue.exact(1)
-    return (one - one / t) / (one - t * Fraction(1, q))
+    return (1 - 1 / t) / (1 - t * Fraction(1, q))
 
 
 def euler_factor(alpha, chi):
     """The interpolation factor e(alpha, chi) for an ordinary parameter alpha."""
-    alpha = CValue.lift(alpha)
-    one = CValue.exact(1)
+    alpha = as_cyclotomic(alpha)
     if chi.f > 0:
         return alpha ** (-chi.f)
     t = chi.t
-    if _is_pm_one(alpha):
-        return one - alpha * (one / t)
-    return (one - t / alpha) * (one - one / (alpha * t))
+    if alpha in (1, -1):
+        return 1 - alpha / t
+    return (1 - t / alpha) * (1 - 1 / (alpha * t))
 
 
-def local_L(s, alpha, chi):
-    """The local L-factor L(s, pi_alpha x chi): trivial for ramified chi, one
-    geometric factor in the special case, two in the spherical case."""
+def local_L(alpha, chi):
+    """The local L-factor L(1/2, pi_alpha x chi): trivial for ramified chi,
+    one geometric factor in the special case, two in the spherical case."""
+    alpha = as_cyclotomic(alpha)
     if chi.f > 0:
-        return CValue.exact(1)
-    alpha = CValue.lift(alpha)
+        return Cyclotomic.from_rational(1)
     q = chi.p
     t = chi.t
-    one = CValue.exact(1)
-    s = Fraction(s)
-    if _is_pm_one(alpha):
-        return one / (one - t * alpha * _q_power(q, -(s + Fraction(1, 2))))
-    f1 = one - t * (one / alpha) * _q_power(q, -(s - Fraction(1, 2)))
-    f2 = one - t * alpha * _q_power(q, -(s + Fraction(1, 2)))
-    return one / (f1 * f2)
+    if alpha in (1, -1):
+        return 1 / (1 - t * alpha * Fraction(1, q))
+    return 1 / ((1 - t / alpha) * (1 - t * alpha * Fraction(1, q)))
 
 
-def _q_power(q, e):
-    e = Fraction(e)
-    if e.denominator == 1:
-        return CValue.exact(Fraction(q) ** e.numerator)
-    return CValue.from_float(float(q) ** float(e))
-
-
-def _is_pm_one(alpha):
-    if not alpha.is_exact():
-        return False
-    v = alpha.val
-    return v.is_rational() and v.rational_value() in (1, -1)
+def sqrt_q(q):
+    """The positive square root of a prime q, exactly, in Q(zeta_4q):
+    zeta_8 + zeta_8^-1 for q = 2, else from tau of the Legendre symbol, which
+    is sqrt(q) for q = 1 mod 4 and i sqrt(q) for q = 3 mod 4 because
+    psi(x) = e^(+2 pi i x)."""
+    if q == 2:
+        return zeta(8) + zeta(8, -1)
+    tau = gauss_sum(legendre_character(q))
+    return tau if q % 4 == 1 else zeta(4, -1) * tau

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 from .characters import (
-    Quasicharacter, character_from_log, gauss_sum, trivial_character,
+    Quasicharacter, character_from_log, gauss_sum, sqrt_q, trivial_character,
 )
 from .curves import l_invariant, load_curve, reduction_type, tate_period
 from .localdist import mellin_mu_alpha, mellin_target
@@ -73,7 +73,7 @@ def _parse_nonzero(parser, flag, spec):
 
 def _parse_alpha(parser, spec, p):
     if spec in ("sqrt", "sqrt(q)"):
-        return float(p) ** 0.5
+        return sqrt_q(p)
     return _parse_nonzero(parser, "--alpha", spec)
 
 
@@ -108,11 +108,11 @@ def cmd_local_integral(args, parser):
     except ValueError as exc:   # the shell sum diverges
         parser.error(str(exc))
     target = mellin_target(chi, alpha)
-    err = abs(got.value.to_complex() - target.to_complex())
+    err = abs(got.value - target.to_complex())
     ok = err <= 1e-8 + got.tail_bound
     return _emit(args, ok, {
         "p": args.p, "alpha": args.alpha, "conductor_exp": chi.f,
-        "value": f"{got.value.to_complex():.10f}",
+        "value": f"{got.value:.10f}",
         "target": f"{target.to_complex():.10f}",
         "tail_bound": f"{got.tail_bound:.2e}", "err": f"{err:.2e}"})
 

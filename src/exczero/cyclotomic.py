@@ -1,11 +1,12 @@
-"""Exact cyclotomic numbers and the dual exact/float scalar type CValue.
+"""Exact cyclotomic numbers, the one scalar type of the local theory.
 
-Gauss-sum identities are checked exactly in Q(zeta_M), where a value is a
-histogram of rational coefficients over the exponents of zeta_M mod M: sums
-of roots of unity accumulate in it, products add exponents, a change of level
-scales them.  Reduction mod Phi_M, which makes it unique, runs only for
-equality, rationality and hashing.  Irrational parameters like sqrt(q)
-force complex floats, where every comparison carries a tolerance.
+Every local value at s = 1/2 -- characters, Gauss sums, Euler factors,
+L-factors, shell sums, also at alpha = sqrt(q), which lies in Q(zeta_4q) --
+is an element of some Q(zeta_M).  A value is kept as a histogram of rational
+coefficients over the exponents of zeta_M mod M: sums of roots of unity
+accumulate in it, products add exponents, a change of level scales them.
+Reduction mod Phi_M, which makes it unique, runs only for equality,
+rationality and hashing.
 """
 
 import cmath
@@ -13,9 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["Cyclotomic", "CValue", "zeta", "FLOAT_TOL"]
-
-FLOAT_TOL = 1e-9
+__all__ = ["Cyclotomic", "zeta", "as_cyclotomic"]
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +108,25 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        out, base = Cyclotomic.from_rational(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
     def inverse(self):
         """1/self.  A monomial c z^e inverts to z^(-e)/c; any other element
         by its norm: 1/x = prod_{sigma != 1} sigma(x) / N(x)."""
@@ -119,8 +137,10 @@ class Cyclotomic:
         others = Cyclotomic.from_rational(1)
         for a in range(2, M):   # sigma_a: zeta_M -> zeta_M^a
             if gcd(a, M) == 1:
-                conj = Cyclotomic(M, {a * e % M: c for e, c in self.terms.items()})
-                others = Cyclotomic(M, (others * conj)._reduced())
+                # e -> a e is a bijection mod M: no two terms collide
+                conj = Cyclotomic._of(M, {a * e % M: c for e, c in self.terms.items()})
+                others = Cyclotomic._of(M, {
+                    e: c for e, c in enumerate((others * conj)._reduced()) if c})
         # N(x) is rational, and zero exactly when x is: 1/N(x) then raises
         return others * (1 / (self * others).rational_value())
 
@@ -185,6 +205,8 @@ class Cyclotomic:
         w = 2j * cmath.pi / self.level
         return sum((float(c) * cmath.exp(w * e) for e, c in self.terms.items()), 0j)
 
+    __complex__ = to_complex
+
     def __repr__(self):
         # a summary without reduction: the reduced form has phi(M) entries
         if self.terms.keys() <= {0}:
@@ -194,113 +216,10 @@ class Cyclotomic:
 
 
 def zeta(M, k=1):
-    """zeta_M^k as an exact CValue."""
-    return CValue.exact(Cyclotomic._of(M, {k % M: 1}))
+    """zeta_M^k as a Cyclotomic."""
+    return Cyclotomic._of(M, {k % M: 1})
 
 
-class CValue:
-    """A complex scalar, either exact cyclotomic or a float with tolerance."""
-
-    __slots__ = ("mode", "val")
-
-    def __init__(self, mode, val):
-        self.mode, self.val = mode, val
-
-    @classmethod
-    def exact(cls, x):
-        if isinstance(x, (int, Fraction)):
-            x = Cyclotomic.from_rational(x)
-        return cls("exact", x)
-
-    @classmethod
-    def from_float(cls, z):
-        return cls("float", complex(z))
-
-    @classmethod
-    def lift(cls, x):
-        if isinstance(x, CValue):
-            return x
-        if isinstance(x, (int, Fraction, Cyclotomic)):
-            return cls.exact(x)
-        return cls.from_float(x)
-
-    def to_complex(self):
-        return self.val.to_complex() if self.mode == "exact" else self.val
-
-    def is_exact(self):
-        return self.mode == "exact"
-
-    def _pair(self, other):
-        other = CValue.lift(other)
-        if self.mode == "exact" and other.mode == "exact":
-            return "exact", self.val, other.val
-        return "float", self.to_complex(), other.to_complex()
-
-    def __add__(self, other):
-        m, a, b = self._pair(other)
-        return CValue(m, a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CValue(self.mode, -self.val)
-
-    def __sub__(self, other):
-        m, a, b = self._pair(other)
-        return CValue(m, a - b)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        m, a, b = self._pair(other)
-        return CValue(m, a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        m, a, b = self._pair(other)
-        return CValue(m, a * b.inverse() if m == "exact" else a / b)
-
-    def __rtruediv__(self, other):
-        return CValue.lift(other) / self
-
-    def __pow__(self, k):
-        assert isinstance(k, int)
-        if k < 0:
-            return (CValue.exact(1) / self) ** (-k)
-        out, base = CValue.exact(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        m, a, b = self._pair(other)
-        if m == "exact":
-            return a == b
-        raise TypeError("float-mode CValues must be compared with .close()")
-
-    def __hash__(self):
-        if self.mode == "exact":
-            return hash(self.val)
-        raise TypeError("float CValue not hashable")
-
-    def close(self, other, tol=FLOAT_TOL):
-        return abs(self.to_complex() - CValue.lift(other).to_complex()) <= tol
-
-    def abs2(self):
-        z = self.to_complex()
-        return z.real * z.real + z.imag * z.imag
-
-    def rational_value(self):
-        assert self.mode == "exact" and self.val.is_rational()
-        return self.val.rational_value()
-
-    def __repr__(self):
-        if self.mode == "exact":
-            t = self.val.terms
-            return f"CValue({t.get(0, 0) if t.keys() <= {0} else repr(self.val)})"
-        return f"CValue({self.val:.12g})"
+def as_cyclotomic(x):
+    """An int, Fraction or Cyclotomic as a Cyclotomic."""
+    return x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)

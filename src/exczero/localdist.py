@@ -11,7 +11,7 @@ from .characters import (
     AdditiveCharacterPsi, euler_factor, gauss_sum, local_L,
     unit_psi_chi_integral,
 )
-from .cyclotomic import CValue
+from .cyclotomic import Cyclotomic, as_cyclotomic
 from .padic import ord_p
 
 __all__ = [
@@ -25,30 +25,24 @@ def psi_ball_integral(ball):
     """int over a + p^k O of psi(x) dx: p^{-k} psi(a) if k >= 0, else 0
     (psi is nontrivial on p^{-1}O/O, so deeper balls cancel exactly)."""
     if ball.depth < 0:
-        return CValue.exact(0)
-    return CValue.exact(ball.haar_measure()) \
-        * AdditiveCharacterPsi(ball.p)(ball.center)
-
-
-def _is_one(alpha):
-    return alpha.is_exact() and alpha.val.is_rational() \
-        and alpha.val.rational_value() == 1
+        return Cyclotomic.from_rational(0)
+    return ball.haar_measure() * AdditiveCharacterPsi(ball.p)(ball.center)
 
 
 def mu_alpha_ball(alpha, piece):
     """mu_alpha of a basic piece: an additive Ball (alpha = 1, or a ball of
     constant valuation) or a multiplicative coset aU^(n)."""
-    alpha = CValue.lift(alpha)
+    alpha = as_cyclotomic(alpha)
     p = piece.p
     if isinstance(piece, Ball):
-        if _is_one(alpha):
+        if alpha == 1:
             return psi_ball_integral(piece)
         v = ord_p(piece.center, p) if piece.center != 0 else None
         assert v is not None and v < piece.depth, \
             "chi_alpha is not constant on a ball containing 0"
         return alpha ** v * psi_ball_integral(piece)
     assert isinstance(piece, MultBall)
-    total = CValue.exact(0)
+    total = Cyclotomic.from_rational(0)
     for b in piece.additive_pieces():
         total = total + psi_ball_integral(b)
     return alpha ** piece.val * total
@@ -56,23 +50,22 @@ def mu_alpha_ball(alpha, piece):
 
 def integrate_mu_alpha(f, alpha):
     """Linear extension of mu_alpha_ball over the pieces of a BallFunction."""
-    alpha = CValue.lift(alpha)
-    total = CValue.exact(0)
+    alpha = as_cyclotomic(alpha)
+    total = Cyclotomic.from_rational(0)
     for piece, coeff in f.pieces:
-        total = total + CValue.lift(coeff) * mu_alpha_ball(alpha, piece)
+        total = total + coeff * mu_alpha_ball(alpha, piece)
     return total
 
 
 def shell_integral(chi, alpha, n):
     """int over p^n U of chi(x) chi_alpha(x) psi(x) d*x."""
-    alpha = CValue.lift(alpha)
     return (chi.t * alpha) ** n \
         * unit_psi_chi_integral(chi, Fraction(chi.p) ** n)
 
 
 @dataclass
 class MellinResult:
-    value: CValue
+    value: Cyclotomic | complex
     tail_bound: float
     n_min: int
     n_max: int
@@ -86,9 +79,8 @@ def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
     Shells below -(f+2) vanish exactly (the shifted unit integrals are zero
     there, tested separately); the positive tail is geometric with ratio
     |chi(p) alpha| / q < 1, and the reported bound covers it."""
-    alpha = CValue.lift(alpha)
     q = chi.p
-    r = (abs(chi.t.to_complex()) * abs(alpha.to_complex())) / q
+    r = (abs(complex(chi.t)) * abs(complex(alpha))) / q
     if r >= 1:
         raise ValueError("divergent: |chi(p) alpha| >= q")
     n_min = -(chi.f + 2)
@@ -98,18 +90,17 @@ def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
     units = [unit_psi_chi_integral(chi, Fraction(q) ** n)
              for n in range(n_min, 1)]
     if not exact:
-        units = [u.to_complex() for u in units]
+        units = [complex(u) for u in units]
     shells = [(n, units[min(n, 0) - n_min]) for n in range(n_min, n_max + 1)]
     if exact:
         step = chi.t * alpha * Fraction(1, q)   # the shell factor's ratio
-        factor, total = step ** n_min * scale, CValue.exact(0)
+        factor, total = step ** n_min * scale, Cyclotomic.from_rational(0)
         for _, unit in shells:
             total, factor = total + unit * factor, factor * step
     else:
         # the shell factor (chi(p) alpha / q)^n as a complex float
-        ratio = (chi.t * alpha).to_complex() / q
-        total = CValue.from_float(float(scale) * sum(
-            ratio ** n * unit for n, unit in shells))
+        ratio = complex(chi.t * alpha) / q
+        total = float(scale) * sum(ratio ** n * unit for n, unit in shells)
     tail = float(scale) * r ** (n_max + 1) / (1 - r)
     return MellinResult(total, tail, n_min, n_max)
 
@@ -117,7 +108,7 @@ def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
 def mellin_target(chi, alpha):
     """The closed-form target tau(chi) e(alpha, chi) L(1/2, pi_alpha x chi)."""
     return gauss_sum(chi) * euler_factor(alpha, chi) \
-        * local_L(Fraction(1, 2), alpha, chi)
+        * local_L(alpha, chi)
 
 
 def whittaker_value(f, alpha, a):

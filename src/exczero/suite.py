@@ -9,10 +9,9 @@ from inspect import signature
 
 from .characters import (
     Quasicharacter, all_primitive_characters, character_from_log,
-    euler_factor, gauss_sum, trivial_character,
+    euler_factor, gauss_sum, sqrt_q, trivial_character,
 )
 from .curves import EllipticCurve
-from .cyclotomic import CValue
 from .detident import det_fixedpointfree_expansion
 from .localdist import mellin_mu_alpha, mellin_target
 from .measures import (
@@ -131,7 +130,7 @@ def criterion_mellin_closed_form(seed=0, tol=1e-8, quick=False):
                 while r ** (n_max + 1) / (1 - r) > tol / 10:
                     n_max += 20
                 got = mellin_mu_alpha(chi, 1, n_max=n_max, exact=False)
-                err = abs(got.value.to_complex() - target)
+                err = abs(got.value - target)
                 assert got.tail_bound < tol
                 worst = max(worst, err)
                 count += 1
@@ -149,18 +148,17 @@ def criterion_interpolation(tol=1e-8, quick=False):
         exceptional_exact = True
         for p in ((3,) if quick else (3, 5)):
             chars = [trivial_character(p)] + all_primitive_characters(p, 1)
-            for alpha in (1, -1, float(p) ** 0.5):
+            for alpha in (1, -1, sqrt_q(p)):
                 for chi in chars:
                     target = mellin_target(chi, alpha)
                     got = mellin_mu_alpha(chi, alpha, n_max=140, exact=False)
-                    err = abs(got.value.to_complex() - target.to_complex())
+                    err = abs(got.value - target.to_complex())
                     worst = max(worst, err + got.tail_bound)
                     checked += 1
                     if alpha == 1 and chi.f == 0:
                         # the exceptional zero: the Euler factor vanishes
                         exceptional_exact &= (
-                            euler_factor(1, chi) == CValue.exact(0)
-                            and target == CValue.exact(0))
+                            euler_factor(1, chi) == 0 and target == 0)
         ok = worst < tol and exceptional_exact
         return ok, {"checked": checked, "worst_err": f"{worst:.2e}",
                     "exceptional_exact": exceptional_exact}

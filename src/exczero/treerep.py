@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .balls import P1Piece
 from .characters import AdditiveCharacterPsi
-from .cyclotomic import CValue
+from .cyclotomic import Cyclotomic
 from .linalg import solve
 from .padic import ord_p
 from .tree import (
@@ -431,12 +431,12 @@ def whittaker_steinberg(pieces, p=None):
     if p is None:
         p = pieces[0][0].ball.p
     psi = AdditiveCharacterPsi(p)
-    total = CValue.exact(0)
+    total = Cyclotomic.from_rational(0)
     for piece, coeff in pieces:
         sgn = -1 if piece.complement else 1
         b = piece.ball
         if b.depth >= 0:
-            total = total + CValue.exact(Fraction(sgn) * Fraction(coeff)
-                                         * b.haar_measure()) * psi(b.center)
+            total = total + Fraction(sgn) * Fraction(coeff) \
+                * b.haar_measure() * psi(b.center)
         # balls of negative depth integrate to zero against psi
     return total

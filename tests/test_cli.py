@@ -49,6 +49,20 @@ def test_local_integral(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["--p", "2", "--alpha", "sqrt", "--t", "1/2"], -0.6407544820),
+    (["--p", "5", "--alpha", "sqrt", "--char-f", "1", "--char-k", "1"],
+     -0.5257311121 + 0.8506508084j),
+])
+def test_local_integral_at_exact_sqrt(argv, want, capsys):
+    # alpha = sqrt(q) is exact; the numbers are those of the float alpha
+    code, out = run(["--format", "json", "local-integral", *argv], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["status"] == "PASS"
+    for key in ("value", "target"):
+        assert abs(complex(obj[key]) - want) <= 1e-10
+
+
 def test_lp_roundtrip(tmp_path, capsys):
     from exczero.measures import dirac, save_measure
     mu = dirac(5, 3, 2)
@@ -130,6 +144,7 @@ def test_gauss_line_stays_short(capsys):
     code, out = run(["gauss", "--p", "13", "--conductor-exp", "3"], capsys)
     assert code == 0 and len(out.encode()) < 1024
     assert "tau_float=-27.302559+38.099479j" in out
+    assert " tau_exact=Cyclotomic(level=" in out
 
 
 def test_desk_caps():

@@ -10,7 +10,9 @@ import pytest
 from exczero.characters import (
     all_primitive_characters, character_from_log, gauss_sum, primitive_root,
 )
-from exczero.cyclotomic import FLOAT_TOL, CValue, Cyclotomic, zeta
+from exczero.cyclotomic import Cyclotomic, zeta
+
+FLOAT_TOL = 1e-9
 
 
 def _direct_gauss_sum(p, f, k):
@@ -39,7 +41,7 @@ def test_tau_times_tau_inverse_all_primitive(p, f):
     for chi in all_primitive_characters(p, f):
         tau = gauss_sum(chi)
         assert tau * gauss_sum(chi.inverse()) == chi.at_minus_one() * q
-        assert abs(tau.abs2() - q) <= FLOAT_TOL * q
+        assert abs(abs(tau.to_complex()) ** 2 - q) <= FLOAT_TOL * q
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (3, 2), (7, 2)])
@@ -69,7 +71,7 @@ def test_monomial_inverse():
     for M in (1, 2, 3, 4, 9, 42, 294):
         for k in range(0, M, max(1, M // 7)):
             for c in (Fraction(1), Fraction(-3, 7)):
-                x = (CValue.exact(c) * zeta(M, k)).val
+                x = c * zeta(M, k)
                 assert x * x.inverse() == 1
                 assert x.inverse() * x == Cyclotomic(M, [1])
 
@@ -77,7 +79,7 @@ def test_monomial_inverse():
 def test_non_monomial_inverse():
     rng = random.Random(7)
     for x in (Cyclotomic(5, [1, 1]), Cyclotomic(12, {0: 2, 1: -1, 5: 3}),
-              gauss_sum(all_primitive_characters(7, 1)[1]).val,
+              gauss_sum(all_primitive_characters(7, 1)[1]),
               _random_element(rng, 9)):
         if x == 0:
             continue
@@ -91,44 +93,41 @@ def test_non_monomial_inverse():
 def test_equality_across_levels():
     assert zeta(3) == zeta(6, 2)
     assert Cyclotomic(1, [1]) == Cyclotomic(2, [1])
-    assert zeta(4, 2) == CValue.exact(-1)
+    assert zeta(4, 2) == -1
     assert zeta(6) == -zeta(3, 2)
     assert zeta(12, 3) == zeta(4)
     assert not (zeta(3) == zeta(3, 2))
-    assert sum((zeta(5, k) for k in range(5)), CValue.exact(0)) == 0
+    assert sum(zeta(5, k) for k in range(5)) == 0
     # (1 + 2 z_5^2) written at level 5 and at level 20
     assert Cyclotomic(5, [1, 0, 2]) == Cyclotomic(20, {0: 1, 8: 2})
 
 
 def test_rational_detection():
-    x = sum((zeta(7, k) for k in range(1, 7)), CValue.exact(0))
-    assert x.val.is_rational() and x.rational_value() == -1
-    assert not zeta(8).val.is_rational()
+    x = sum(zeta(7, k) for k in range(1, 7))
+    assert x.is_rational() and x.rational_value() == -1
+    assert not zeta(8).is_rational()
     assert (zeta(8) * zeta(8, 7)).rational_value() == 1
 
 
 def test_hash_agrees_with_equality_across_levels():
     pairs = [
         (Cyclotomic(1, [1]), Cyclotomic(2, [1])),
-        (zeta(3).val, zeta(6, 2).val),
-        (zeta(4).val, zeta(12, 3).val),
-        (zeta(4, 2).val, Cyclotomic.from_rational(-1)),
+        (zeta(3), zeta(6, 2)),
+        (zeta(4), zeta(12, 3)),
+        (zeta(4, 2), Cyclotomic.from_rational(-1)),
         (Cyclotomic(5, [1, 0, 2]), Cyclotomic(20, {0: 1, 8: 2})),
         # sqrt(5) = tau(Legendre mod 5), computed at level 20 and at level 5
-        (gauss_sum(all_primitive_characters(5, 1)[1]).val,
+        (gauss_sum(all_primitive_characters(5, 1)[1]),
          Cyclotomic(5, [0, 1, -1, -1, 1])),
     ]
     for a, b in pairs:
         assert a == b
         assert hash(a) == hash(b)
-        assert hash(CValue.exact(a)) == hash(CValue.exact(b))
     assert hash(Cyclotomic.from_rational(Fraction(2, 3))) == hash(Fraction(2, 3))
 
 
 def test_repr_summarizes_without_reduction():
     assert repr(Cyclotomic(7, [Fraction(3, 2)])) == "Cyclotomic(3/2)"
-    assert repr(CValue.exact(Fraction(-2, 5))) == "CValue(-2/5)"
     x = Cyclotomic(12, {0: 2, 1: -1, 5: 3})
     z = x.to_complex()
     assert repr(x) == f"Cyclotomic(level=12, terms=3, approx={z:.12g})"
-    assert repr(CValue.exact(x)) == f"CValue({x!r})"

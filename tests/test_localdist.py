@@ -6,10 +6,10 @@ import pytest
 
 from exczero.balls import Ball, BallFunction, MultBall, P1Piece
 from exczero.characters import (
-    all_primitive_characters, character_from_log, primitive_root,
+    all_primitive_characters, character_from_log, primitive_root, sqrt_q,
     trivial_character,
 )
-from exczero.cyclotomic import CValue
+from exczero.cyclotomic import Cyclotomic
 from exczero.localdist import (
     integrate_mu_alpha, mellin_mu_alpha, mellin_target, mu_alpha_ball,
     psi_ball_integral, shell_integral, unit_psi_chi_integral, whittaker_value,
@@ -17,30 +17,26 @@ from exczero.localdist import (
 from exczero.steinberg import EllSpec, z_ell
 from exczero.treerep import whittaker_steinberg
 
-ONE = CValue.exact(1)
-ZERO = CValue.exact(0)
-
-
 def test_mu_one_basic_balls():
     p = 5
-    assert mu_alpha_ball(1, Ball(p, Fraction(0), 0)) == ONE
-    assert mu_alpha_ball(1, Ball(p, Fraction(0), -1)) == ZERO
+    assert mu_alpha_ball(1, Ball(p, Fraction(0), 0)) == 1
+    assert mu_alpha_ball(1, Ball(p, Fraction(0), -1)) == 0
     for x in (Fraction(1), Fraction(5), Fraction(50), Fraction(3)):
         # mu_1(x Z_p) = |x|_p for integral x
         from exczero.padic import ord_p
         v = ord_p(x, p)
-        assert mu_alpha_ball(1, Ball(p, Fraction(0), v)) == CValue.exact(Fraction(1, p ** v))
+        assert mu_alpha_ball(1, Ball(p, Fraction(0), v)) == Fraction(1, p ** v)
 
 
 def test_unit_psi_integral_cases():
     # int_U psi(a x) d*x = 1, -1/(q-1), 0 as ord(a) is >= 0, = -1, <= -2
     for p in (2, 3, 7):
         triv = trivial_character(p)
-        assert unit_psi_chi_integral(triv, 1) == ONE
-        assert unit_psi_chi_integral(triv, Fraction(3 if p != 3 else 5)) == ONE
-        assert unit_psi_chi_integral(triv, Fraction(1, p)) == CValue.exact(Fraction(-1, p - 1))
-        assert unit_psi_chi_integral(triv, Fraction(p + 1, p ** 2)) == ZERO
-        assert unit_psi_chi_integral(triv, Fraction(1, p ** 3)) == ZERO
+        assert unit_psi_chi_integral(triv, 1) == 1
+        assert unit_psi_chi_integral(triv, Fraction(3 if p != 3 else 5)) == 1
+        assert unit_psi_chi_integral(triv, Fraction(1, p)) == Fraction(-1, p - 1)
+        assert unit_psi_chi_integral(triv, Fraction(p + 1, p ** 2)) == 0
+        assert unit_psi_chi_integral(triv, Fraction(1, p ** 3)) == 0
 
 
 def test_ramified_shifted_integral_vanishes():
@@ -54,7 +50,7 @@ def test_ramified_shifted_integral_vanishes():
             k = rng.choice([v for v in range(-f - 2, 3) if v != -f])
             u = rng.choice([1, 2, p + 1, 2 * p + 1])
             a = Fraction(u) * Fraction(p) ** k
-            assert unit_psi_chi_integral(chi, a) == ZERO, (p, f, a)
+            assert unit_psi_chi_integral(chi, a) == 0, (p, f, a)
             checked += 1
     assert checked >= 50
 
@@ -64,7 +60,7 @@ def test_mu_alpha_units():
     for p in (3, 5):
         for alpha in (Fraction(1), Fraction(-1), Fraction(2)):
             got = mu_alpha_ball(alpha, MultBall(p, Fraction(1), 0))
-            assert got == CValue.exact(Fraction(p - 1, p))
+            assert got == Fraction(p - 1, p)
 
 
 def test_mu_alpha_scaling_inside_Zp():
@@ -76,7 +72,7 @@ def test_mu_alpha_scaling_inside_Zp():
         base = mu_alpha_ball(alpha, B)
         for k in (1, 2, 3):
             got = mu_alpha_ball(alpha, B.scale(Fraction(p) ** k))
-            assert got == CValue.exact(Fraction(alpha) ** k * Fraction(p) ** (-k)) * base
+            assert got == Fraction(alpha) ** k * Fraction(p) ** (-k) * base
 
 
 def test_composition_with_steinberg_cocycle():
@@ -91,7 +87,7 @@ def test_composition_with_steinberg_cocycle():
         if coeff:
             pieces.append((region, coeff))
     f = BallFunction(p, pieces)
-    assert integrate_mu_alpha(f, 1) == CValue.exact(Fraction(1, p))
+    assert integrate_mu_alpha(f, 1) == Fraction(1, p)
 
 
 def test_refinement_additivity():
@@ -100,7 +96,7 @@ def test_refinement_additivity():
         p = rng.choice([2, 3, 5])
         # additive refinement for alpha = 1
         b = Ball(p, Fraction(rng.randint(0, 8)), rng.randint(-1, 2))
-        kids = sum((mu_alpha_ball(1, c) for c in b.children()), ZERO)
+        kids = sum((mu_alpha_ball(1, c) for c in b.children()), 0)
         assert kids == mu_alpha_ball(1, b)
         # multiplicative refinement aU^(n) = union of a(1 + c p^n) U^(n+1)
         alpha = rng.choice([Fraction(-1), Fraction(2), Fraction(1, 3)])
@@ -108,39 +104,51 @@ def test_refinement_additivity():
         a = Fraction(rng.choice([1, 2, p + 1])) * Fraction(p) ** rng.randint(-2, 2)
         mb = MultBall(p, a, n)
         parts = [MultBall(p, a * (1 + c * Fraction(p) ** n), n + 1) for c in range(p)]
-        total = sum((mu_alpha_ball(alpha, q) for q in parts), ZERO)
+        total = sum((mu_alpha_ball(alpha, q) for q in parts), 0)
         assert total == mu_alpha_ball(alpha, mb)
 
 
 def test_mellin_trivial_alpha_one_vanishes():
     res = mellin_mu_alpha(trivial_character(3), 1, n_max=40)
-    assert res.value.close(0, 1e-8)
-    assert mellin_target(trivial_character(3), CValue.exact(1)) == ZERO
+    assert abs(complex(res.value)) <= 1e-8
+    assert mellin_target(trivial_character(3), 1) == 0
 
 
 def test_mellin_alpha_minus_one():
     # p = 5, chi trivial: target = 2 * L(1/2, pi_{-1}) = 2 * 5/6 = 5/3
     chi = trivial_character(5)
     res = mellin_mu_alpha(chi, -1, n_max=40)
-    assert mellin_target(chi, CValue.exact(-1)) == CValue.exact(Fraction(5, 3))
-    assert res.value.close(Fraction(5, 3), 1e-8)
+    assert mellin_target(chi, -1) == Fraction(5, 3)
+    assert abs(complex(res.value) - 5 / 3) <= 1e-8
 
 
 def test_mellin_float_alpha():
-    # alpha = sqrt(5), unramified chi with t = 2
-    import math
+    # alpha = sqrt(5), unramified chi with t = 2, summed in float mode
     chi = trivial_character(5, t=Fraction(2))
-    alpha = CValue.from_float(math.sqrt(5))
+    alpha = sqrt_q(5)
     # ratio |t alpha|/q = 2/sqrt(5) converges slowly; 220 shells suffice
-    res = mellin_mu_alpha(chi, alpha, n_max=220)
+    res = mellin_mu_alpha(chi, alpha, n_max=220, exact=False)
     assert res.tail_bound < 1e-8
-    assert res.value.close(mellin_target(chi, alpha), 1e-8)
+    assert abs(res.value - mellin_target(chi, alpha).to_complex()) <= 1e-8
+
+
+def test_mellin_exact_at_sqrt_alpha():
+    # the exact shell sum at alpha = sqrt(5), t = 1: within its tail bound
+    # of the exact target, and equal to the float-mode sum
+    chi = trivial_character(5)
+    alpha = sqrt_q(5)
+    res = mellin_mu_alpha(chi, alpha, n_max=40)
+    assert isinstance(res.value, Cyclotomic)
+    target = mellin_target(chi, alpha)
+    assert abs(complex(res.value) - complex(target)) <= res.tail_bound + 1e-12
+    approx = mellin_mu_alpha(chi, alpha, n_max=40, exact=False)
+    assert abs(complex(res.value) - approx.value) <= 1e-12
 
 
 def test_mellin_ramified_is_exact():
     for p in (3, 5):
         for chi in all_primitive_characters(p, 1)[:3]:
-            for alpha in (CValue.exact(1), CValue.exact(-1)):
+            for alpha in (1, -1):
                 res = mellin_mu_alpha(chi, alpha, n_max=6)
                 assert res.value == mellin_target(chi, alpha)
 
@@ -156,9 +164,9 @@ def test_exact_mellin_is_the_sum_of_its_shells():
                 if abs(chi.t.to_complex()) * abs(alpha) >= p:
                     continue
                 res = mellin_mu_alpha(chi, alpha, n_max=6)
-                ref = ZERO
+                ref = 0
                 for n in range(res.n_min, 7):
-                    ref = ref + shell_integral(chi, CValue.exact(alpha), n) \
+                    ref = ref + shell_integral(chi, alpha, n) \
                         * Fraction(p - 1, p) * Fraction(p) ** -n
                 assert res.value == ref, (p, f, alpha)
 
@@ -170,22 +178,22 @@ def test_mellin_divergence_guard():
 
 def test_mellin_tail_bound_is_honest():
     chi = trivial_character(5, t=Fraction(2))
-    for alpha in (CValue.exact(-1), CValue.from_float(5 ** 0.5)):
+    for alpha in (-1, sqrt_q(5)):
         short = mellin_mu_alpha(chi, alpha, n_max=20)
         long = mellin_mu_alpha(chi, alpha, n_max=40)
-        diff = abs(short.value.to_complex() - long.value.to_complex())
+        diff = abs(complex(short.value) - complex(long.value))
         assert diff <= short.tail_bound
 
 
 def test_whittaker_diagonal_values():
     p = 5
     f = BallFunction.indicator(Ball(p, Fraction(0), 0))
-    assert whittaker_value(f, 1, 1) == ONE
+    assert whittaker_value(f, 1, 1) == 1
     u = BallFunction.indicator(MultBall(p, Fraction(1), 0))
     # int_{p^k U} psi dx: (1 - 1/q) q^{-k} for k >= 0, -1 at k = -1, 0 below
-    assert whittaker_value(u, 1, Fraction(p)) == CValue.exact(Fraction(p - 1, p * p))
-    assert whittaker_value(u, 1, Fraction(1, p)) == CValue.exact(-1)
-    assert whittaker_value(u, 1, Fraction(1, p * p)) == ZERO
+    assert whittaker_value(u, 1, Fraction(p)) == Fraction(p - 1, p * p)
+    assert whittaker_value(u, 1, Fraction(1, p)) == -1
+    assert whittaker_value(u, 1, Fraction(1, p * p)) == 0
 
 
 def test_whittaker_coset_summation_identity():
@@ -201,9 +209,9 @@ def test_whittaker_coset_summation_identity():
         coeffs = {a: Fraction(random.Random(131).randint(-3, 3)) for a in reps}
         f = BallFunction(p, [(MultBall(p, a, 1), c) for a, c in coeffs.items()])
         lhs = integrate_mu_alpha(f, alpha)
-        rhs = ZERO
+        rhs = 0
         for a, c in coeffs.items():
-            rhs = rhs + CValue.exact(c * vol * index) * whittaker_value(WH, alpha, a)
+            rhs = rhs + c * vol * index * whittaker_value(WH, alpha, a)
         assert lhs == rhs
 
 
@@ -223,8 +231,8 @@ def test_delta_alpha_compatibility_alpha_one():
 def test_shell_integral_matches_closed_form_assembly():
     # assembling shells reproduces the unramified closed form coefficientwise
     chi = trivial_character(7, t=Fraction(3))
-    val = shell_integral(chi, CValue.exact(1), -1)
-    assert val == CValue.exact(Fraction(-1, 6)) * (chi.t ** (-1))
+    val = shell_integral(chi, 1, -1)
+    assert val == Fraction(-1, 6) * (chi.t ** (-1))
 
 
 def _interpolation_reference(p, k, alpha):
@@ -248,9 +256,10 @@ def test_sqrt_targets_match_cmath_reference():
     # criterion 3's full pool: the trivial and every primitive character
     # mod p = 3, 5, at alpha = sqrt(p)
     for p in (3, 5):
-        alpha = float(p) ** 0.5
+        alpha = sqrt_q(p)
         for k in range(p - 1):
             chi = character_from_log(p, 1, k) if k else trivial_character(p)
             target = mellin_target(chi, alpha)
+            assert isinstance(target, Cyclotomic)
             assert abs(target.to_complex()
                        - _interpolation_reference(p, k, p ** 0.5)) <= 1e-12
