@@ -233,7 +233,6 @@ def euler_factor(alpha, chi):
 def local_L(alpha, chi):
     """The local L-factor L(1/2, pi_alpha x chi): trivial for ramified chi,
     one geometric factor in the special case, two in the spherical case."""
-    alpha = as_cyclotomic(alpha)
     if chi.f > 0:
         return Cyclotomic.from_rational(1)
     q = chi.p

@@ -67,8 +67,8 @@ class Cyclotomic:
         return x
 
     @classmethod
-    def from_rational(cls, x, level=1):
-        return cls(level, [x])
+    def from_rational(cls, x):
+        return cls._of(1, {0: Fraction(x)} if x else {})
 
     def raise_level(self, L):
         """Rewrite in Q(zeta_L) for a multiple L of the level (z -> z^(L/M))."""

@@ -50,7 +50,6 @@ def mu_alpha_ball(alpha, piece):
 
 def integrate_mu_alpha(f, alpha):
     """Linear extension of mu_alpha_ball over the pieces of a BallFunction."""
-    alpha = as_cyclotomic(alpha)
     total = Cyclotomic.from_rational(0)
     for piece, coeff in f.pieces:
         total = total + coeff * mu_alpha_ball(alpha, piece)
