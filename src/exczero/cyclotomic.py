@@ -119,12 +119,11 @@ class Cyclotomic:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** -k
-        out, base = Cyclotomic.from_rational(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        out = Cyclotomic.from_rational(1)
+        for bit in bin(k)[2:]:   # square and multiply, from the top bit
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def inverse(self):
