@@ -55,7 +55,7 @@ def test_local_integral(capsys):
      -0.5257311121 + 0.8506508084j),
 ])
 def test_local_integral_at_exact_sqrt(argv, want, capsys):
-    # alpha = sqrt(q) is exact; the numbers are those of the float alpha
+    # alpha = sqrt(q) is exact; value and target are the known numbers
     code, out = run(["--format", "json", "local-integral", *argv], capsys)
     obj = json.loads(out)
     assert code == 0 and obj["status"] == "PASS"
