@@ -12,8 +12,8 @@ from .characters import (
 from .curves import l_invariant, load_curve, reduction_type, tate_period
 from .localdist import mellin_mu_alpha, mellin_target
 from .measures import (
-    MAX_MOMENT, check_distribution_and_bound, gamma_transform, load_measure,
-    moment,
+    MAX_LEVEL, MAX_MOMENT, MAX_P, check_distribution_and_bound,
+    gamma_transform, load_measure, moment,
 )
 from .padic import DEFAULT_PREC, ord_p
 from .pipeline import VanishingLValue, exceptional_zero_report, total_mass_report
@@ -23,8 +23,6 @@ from .suite import (
 )
 from .tree import ball_of_vertex, ball_vertices, neighbors, vertex_from_ball
 
-MAX_P = 13
-MAX_LEVEL = 5
 MAX_N = 200
 MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
 MAX_DET_SIZE = 6        # the expansion sums over m! permutations

@@ -14,68 +14,59 @@ from .padic import (
 __all__ = [
     "BallMeasure", "DistributionReport", "check_distribution_and_bound",
     "dirac", "gamma_transform", "moment", "vanishing_order",
-    "load_measure", "save_measure", "MAX_MOMENT",
+    "load_measure", "save_measure", "MAX_MOMENT", "MAX_P", "MAX_LEVEL",
 ]
 
 MAX_MOMENT = 4  # the highest log-moment that moment computes
+MAX_P = 13      # the desk caps on a measure's prime and level: a level
+MAX_LEVEL = 5   # holds p^n values, 13^5 = 371,293 at the caps
 
 
 class BallMeasure:
-    """values[(n, a)] = mu(a + p^n Z_p) for 1 <= n <= N, a a unit mod p^n
-    in [0, p^n), with pn[n] = p^n.  A value is an int (a modular-symbol
-    measure is integer-valued) or else a Fraction.
+    """levels[n][a] = mu(a + p^n Z_p) for 1 <= n <= N = len(levels) - 1 and
+    0 <= a < p^n, with 0 at every non-unit a; levels[0] = [0] is a
+    placeholder.  A value is an int (a modular-symbol measure is
+    integer-valued) or else a Fraction.
 
     modulus = None means the values are exact rationals; modulus = m means
     they are only trusted mod p^m (the case of an irrational unit root
     approximated by a rational).  Nothing mutates a measure after
     construction, so its distribution report is computed once and kept."""
 
-    def __init__(self, p, N, values, modulus=None):
-        assert p % 2 == 1
-        self.p, self.N, self.modulus, self.report = p, N, modulus, None
-        self.pn = pn = [p ** n for n in range(N + 1)]
-        self.values = {}
-        for (n, a), v in values.items():
-            assert 1 <= n <= N and a % p != 0
-            self.values[(n, a % pn[n])] = v if type(v) is int else Fraction(v)
-
-    def __call__(self, n, a):
-        assert 1 <= n <= self.N
-        return self.values.get((n, a % self.pn[n]), 0)
+    def __init__(self, p, levels, modulus=None):
+        assert p % 2 == 1 and len(levels) >= 2
+        for n, level in enumerate(levels):
+            assert len(level) == p ** n and not any(level[::p])
+        self.p, self.levels, self.modulus, self.report = p, levels, modulus, None
+        self.N = len(levels) - 1
 
     def mass(self, level):
         """mu(Z_p^*) as the sum of the values at the given level."""
-        return sum(v for (n, _), v in self.values.items() if n == level)
-
-    def level_keys(self, n):
-        p = self.p
-        return [a for a in range(1, p ** n) if a % p]
+        return sum(self.levels[level])
 
     def __add__(self, other):
         assert (self.p, self.N) == (other.p, other.N)
         mod = min((m for m in (self.modulus, other.modulus) if m is not None),
                   default=None)
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = out.get(k, 0) + v
-        return BallMeasure(self.p, self.N, out, mod)
+        # a sum of Dirac measures is a few values among mostly zeros
+        return BallMeasure(self.p, [[x + y if y else x for x, y in zip(a, b)]
+                                    for a, b in zip(self.levels, other.levels)],
+                           mod)
 
     def scale(self, t):
-        return BallMeasure(self.p, self.N,
-                           {k: v * Fraction(t) for k, v in self.values.items()},
-                           self.modulus)
+        return BallMeasure(self.p, [[v * t if v else 0 for v in level]
+                                    for level in self.levels], self.modulus)
 
 
 def dirac(p, N, at):
     """The Dirac measure at a unit of Z_p^* (given as a rational)."""
     at = Fraction(at)
     assert ord_p(at, p) == 0
-    vals = {}
+    levels = [[0] * p ** n for n in range(N + 1)]
     for n in range(1, N + 1):
         m = p ** n
-        r = at.numerator * pow(at.denominator, -1, m) % m
-        vals[(n, r)] = 1
-    return BallMeasure(p, N, vals)
+        levels[n][at.numerator * pow(at.denominator, -1, m) % m] = 1
+    return BallMeasure(p, levels)
 
 
 @dataclass
@@ -92,23 +83,21 @@ def check_distribution_and_bound(mu):
     on mu, so later calls return it at once."""
     if mu.report is not None:
         return mu.report
-    p, vals = mu.p, mu.values
-    # dense[n][a] = mu(a + p^n Z_p), 0 off the units; the refinements
-    # a + b p^n, 0 <= b < p, of a ball at level n are dense[n + 1][a::p^n],
-    # and those of a ball off the units are off the units too
-    dense = [[0] * pn for pn in mu.pn]
-    for (n, a), v in vals.items():
-        dense[n][a] = v
+    p, levels = mu.p, mu.levels
+    # the refinements a + b p^n, 0 <= b < p, of a ball at level n are
+    # levels[n + 1][a::p^n], and those of a ball off the units are off the
+    # units too
     failures = []
     for n in range(1, mu.N):
-        pn, level, finer = mu.pn[n], dense[n], dense[n + 1]
+        level, finer = levels[n], levels[n + 1]
+        pn = len(level)
         for a in range(1, pn):
             diff = level[a] - sum(finer[a::pn])
             if diff and (mu.modulus is None or ord_p(diff, p) < mu.modulus):
                 failures.append((n, a))
     # only a value with p in its denominator has negative valuation
-    worst = max((-ord_p(v, p) for v in vals.values() if v.denominator % p == 0),
-                default=0)
+    worst = max((-ord_p(v, p) for level in levels for v in level
+                 if v.denominator % p == 0), default=0)
     mu.report = DistributionReport(not failures, worst, failures)
     return mu.report
 
@@ -132,9 +121,8 @@ def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
             None if mu.modulus is None else mu.modulus - c
     assert s.val >= 1, "Gamma-transform needs ord(s) >= 1"
     total = from_rational(0, p, prec)
-    for a in mu.level_keys(level):
-        w = mu(level, a)
-        if w == 0:
+    for a, w in enumerate(mu.levels[level]):
+        if not w:
             continue
         bracket_pow = exp_p(s * log_iwasawa(Fraction(a), p, prec))
         total = total + bracket_pow * from_rational(w, p, prec + c)
@@ -171,7 +159,7 @@ def moment(mu, k, level, prec=DEFAULT_PREC):
     w_inv = [None] + [pow(teichmuller(r, p, digits).unit, -1, p ** digits)
                       for r in range(1, p)]
     terms = [(w, log_unit(a, w_inv[a % p], p, digits))
-             for (n, a), w in mu.values.items() if n == level and w != 0]
+             for a, w in enumerate(mu.levels[level]) if w]
     if refine:
         for w, lg in terms:
             lg_prec = prec * k if lg == 0 else prec + (k - 1) * ord_p(lg, p)
@@ -202,34 +190,40 @@ def vanishing_order(mu, r_max, level, prec=DEFAULT_PREC):
 
 def save_measure(mu, path):
     """Write mu as a header 'p N c', followed by the modulus when mu has
-    one, then one line 'n a value' per ball."""
+    one, then one line 'n a value' per ball with a nonzero value."""
     c = check_distribution_and_bound(mu).bound_cert
     with open(path, "w") as fh:
         mod = "" if mu.modulus is None else f" {mu.modulus}"
         fh.write(f"{mu.p} {mu.N} {c}{mod}\n")
-        for (n, a), v in sorted(mu.values.items()):
-            fh.write(f"{n} {a} {v}\n")
+        for n, level in enumerate(mu.levels):
+            for a, v in enumerate(level):
+                if v:
+                    fh.write(f"{n} {a} {v}\n")
 
 
 def load_measure(path):
     """Read a measure written by save_measure (a header without a modulus
-    is an exact measure); integer values come back as ints.  Raises
-    OSError for an unreadable file and ValueError for a malformed one."""
+    is an exact measure, and a ball without a line has value 0); integer
+    values come back as ints.  Raises OSError for an unreadable file and
+    ValueError for a malformed one, or for one past the desk caps, before
+    allocating its levels."""
     with open(path) as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
     try:
         if not rows or len(rows[0]) not in (3, 4):
             raise ValueError("header must be 'p N c [modulus]'")
         p, N, _c, *mod = (int(x) for x in rows[0])
-        if p < 3 or p % 2 == 0 or N < 1:
-            raise ValueError("needs an odd p and N >= 1")
-        vals = {}
+        if not (2 < p <= MAX_P and all(p % d for d in range(2, p))
+                and 1 <= N <= MAX_LEVEL):
+            raise ValueError(f"needs an odd prime p <= {MAX_P} and "
+                             f"1 <= N <= {MAX_LEVEL}")
+        levels = [[0] * p ** n for n in range(N + 1)]
         for row in rows[1:]:
             n, a, v = row
             n, a, v = int(n), int(a), Fraction(v)
-            if not (1 <= n <= N and a % p):
+            if not (1 <= n <= N and 0 < a < p ** n and a % p):
                 raise ValueError(f"no unit ball ({n}, {a})")
-            vals[(n, a)] = v.numerator if v.denominator == 1 else v
+            levels[n][a] = v.numerator if v.denominator == 1 else v
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed measure: {exc}") from None
-    return BallMeasure(p, N, vals, *mod)
+    return BallMeasure(p, levels, *mod)

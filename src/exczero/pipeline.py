@@ -29,7 +29,7 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     assert kind != "additive", "additive reduction"
     if msym is None:
         msym = ModularSymbolSpace(E)
-    lam, vals = msym.lam_ratio, {}
+    lam, levels = msym.lam_ratio, [[0]]
     if kind == "good":
         a = ap(E, p)
         assert a % p != 0, "supersingular prime"
@@ -40,19 +40,18 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
         raw = [lam(0, 1)]
         for n in range(1, level + 1):
             pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
-            prev, raw, below = raw, [0] * pn, pn // p
+            prev, raw, vals, below = raw, [0] * pn, [0] * pn, pn // p
             for x in range(1, pn):
                 if x % p:
                     raw[x] = lam(x, pn)
-                    vals[(n, x)] = (c0 * raw[x] - c1 * prev[x % below]) % mod
-        return BallMeasure(p, level, vals, modulus=prec)
+                    vals[x] = (c0 * raw[x] - c1 * prev[x % below]) % mod
+            levels.append(vals)
+        return BallMeasure(p, levels, modulus=prec)
     a = 1 if kind == "split" else -1
     for n in range(1, level + 1):
         pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
-        for x in range(1, pn):
-            if x % p:
-                vals[(n, x)] = sign * lam(x, pn)
-    return BallMeasure(p, level, vals)
+        levels.append([sign * lam(x, pn) if x % p else 0 for x in range(pn)])
+    return BallMeasure(p, levels)
 
 
 @dataclass

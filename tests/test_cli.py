@@ -78,11 +78,10 @@ def test_lp_roundtrip(tmp_path, capsys):
 
 def test_lp_status_follows_distribution_check(tmp_path, capsys):
     from exczero.measures import BallMeasure, dirac, save_measure
-    mu = dirac(5, 3, 2)
-    vals = dict(mu.values)
-    vals[(3, 7)] = 1  # a second point at level 3 only
+    levels = [level[:] for level in dirac(5, 3, 2).levels]
+    levels[3][7] = 1  # a second point at level 3 only
     path = tmp_path / "bad.txt"
-    save_measure(BallMeasure(5, 3, vals), path)
+    save_measure(BallMeasure(5, levels), path)
     for extra in (["--s", "5"], ["--moments", "1"]):
         code, out = run(["lp", "--measure", str(path), "--level", "2",
                          *extra], capsys)
@@ -95,8 +94,11 @@ def test_lp_bad_input_exits_2(tmp_path):
     save_measure(dirac(5, 3, 2), good)
     malformed = tmp_path / "bad.txt"
     malformed.write_text("5 3 0\n1 2 one\n")
+    huge = tmp_path / "huge.txt"
+    huge.write_text("13 12 0\n")  # 13^12 balls at its top level
     for argv in (["--measure", str(tmp_path / "missing.txt")],
                  ["--measure", str(malformed)],
+                 ["--measure", str(huge)],
                  ["--measure", str(good), "--level", "0"],
                  ["--measure", str(good), "--level", "4"],
                  ["--measure", str(good), "--moments", "5"],

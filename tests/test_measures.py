@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,9 @@ def test_dirac_passes_checks():
 
 def test_perturbation_is_detected():
     mu = dirac(5, 3, 1)
-    vals = dict(mu.values)
-    vals[(2, 6)] = vals.get((2, 6), Fraction(0)) + 1
-    bad = BallMeasure(5, 3, vals)
+    levels = _copy(mu.levels)
+    levels[2][6] += 1
+    bad = BallMeasure(5, levels)
     rep = check_distribution_and_bound(bad)
     assert not rep.ok
     assert (1, 1) in rep.failures
@@ -110,13 +111,13 @@ def test_file_roundtrip(tmp_path):
         save_measure(mu, path)
         back = load_measure(path)
         assert (back.p, back.N, back.modulus) == (mu.p, mu.N, mu.modulus)
-        assert back.values == mu.values
+        assert back.levels == mu.levels
         rep = check_distribution_and_bound(back)
         assert rep.ok and rep == check_distribution_and_bound(mu)
         for k in range(1, 3):
             assert _same(moment(back, k, 3, 8), moment(mu, k, 3, 8))
     assert back.modulus == 6
-    assert all(type(v) is int for v in back.values.values())
+    assert all(type(v) is int for level in back.levels for v in level)
 
 
 def test_load_reads_three_field_header_as_exact(tmp_path):
@@ -126,39 +127,72 @@ def test_load_reads_three_field_header_as_exact(tmp_path):
     path.write_text("5 2 1\n1 2 -1/1\n2 7 3/5\n2 12 -8/5\n")
     mu = load_measure(path)
     assert (mu.p, mu.N, mu.modulus) == (5, 2, None)
-    assert mu.values == {(1, 2): -1, (2, 7): Fraction(3, 5),
-                         (2, 12): Fraction(-8, 5)}
-    assert type(mu.values[(1, 2)]) is int
+    level2 = [0] * 25
+    level2[7], level2[12] = Fraction(3, 5), Fraction(-8, 5)
+    assert mu.levels == [[0], [0, 0, -1, 0, 0], level2]
+    assert type(mu.levels[1][2]) is int
     rep = check_distribution_and_bound(mu)
     assert rep.ok and rep.bound_cert == 1
+
+
+def test_load_reads_a_file_with_zero_rows(tmp_path):
+    # save_measure once wrote a line for every unit ball, zeros included;
+    # such a file loads to the same levels as the file written today
+    mu = mtt_measure(E11, 11, 2)
+    units = [(n, a) for n in (1, 2) for a in range(1, 11 ** n) if a % 11]
+    zeros = [(n, a) for n, a in units if mu.levels[n][a] == 0]
+    assert len(zeros) == 24
+    full, nonzero = tmp_path / "full.txt", tmp_path / "nonzero.txt"
+    full.write_text("11 2 0\n" + "".join(
+        f"{n} {a} {mu.levels[n][a]}\n" for n, a in units))
+    save_measure(mu, nonzero)
+    assert len(nonzero.read_text().splitlines()) == 1 + len(units) - len(zeros)
+    for path in (full, nonzero):
+        back = load_measure(path)
+        assert (back.p, back.N, back.modulus) == (11, 2, None)
+        assert back.levels == mu.levels
 
 
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     for text in ("", "5 2\n", "5 2 0 3 1\n", "x 2 0\n", "4 2 0\n",
                  "5 2 0\n1 2\n", "5 2 0\n1 2 x\n", "5 2 0\n1 2 1/0\n",
-                 "5 2 0\n3 2 1\n", "5 2 0\n1 5 1\n"):
+                 "5 2 0\n3 2 1\n", "5 2 0\n1 5 1\n", "5 2 0\n1 7 1\n",
+                 "5 2 0\n1 -3 1\n", "13 40 0\n", "13 12 0\n", "9 2 0\n",
+                 "17 1 0\n", "3 0 0\n"):
         path.write_text(text)
-        with pytest.raises(ValueError):
-            load_measure(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_measure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rejected before any level of p^N slots is allocated
+        assert peak < 100_000, (text, peak)
+
+
+def _copy(levels):
+    return [level[:] for level in levels]
 
 
 def _with_fraction_values(mu):
-    vals = {k: Fraction(v) for k, v in mu.values.items()}
-    return BallMeasure(mu.p, mu.N, vals, mu.modulus)
+    levels = [[Fraction(v) for v in level] for level in mu.levels]
+    return BallMeasure(mu.p, levels, mu.modulus)
 
 
 def test_distribution_check_same_on_int_and_fraction_values():
     good = mtt_measure(E11, 11, 3)
-    vals = dict(good.values)
-    vals[(3, 5)] += 1
-    vals[(2, 40)] -= 11
-    bad = BallMeasure(11, 3, vals)
+    levels = _copy(good.levels)
+    levels[3][5] += 1
+    levels[2][40] -= 11
+    bad = BallMeasure(11, levels)
     approx = mtt_measure(E11, 3, 3, prec=6)
     scaled = good.scale(Fraction(1, 121))
     for mu in (good, bad, approx, scaled):
         copy = _with_fraction_values(mu)
-        assert all(type(v) is Fraction for v in copy.values.values())
+        assert all(type(v) is Fraction for level in copy.levels
+                   for v in level)
         got = check_distribution_and_bound(mu)
         want = check_distribution_and_bound(copy)
         assert (got.ok, got.bound_cert, got.failures) == \
@@ -175,11 +209,11 @@ def test_modulus_relaxes_distribution_check():
     # values agreeing with a true measure only mod p^2 pass with modulus=2
     p = 5
     mu = dirac(p, 3, 1)
-    vals = {k: v + Fraction(p ** 3) for k, v in mu.values.items() if k[0] == 3}
-    vals.update({k: v for k, v in mu.values.items() if k[0] < 3})
-    approx = BallMeasure(p, 3, vals, modulus=2)
+    levels = _copy(mu.levels)
+    levels[3][1] += Fraction(p ** 3)
+    approx = BallMeasure(p, levels, modulus=2)
     assert check_distribution_and_bound(approx).ok
-    exact = BallMeasure(p, 3, vals)
+    exact = BallMeasure(p, levels)
     assert not check_distribution_and_bound(exact).ok
 
 
@@ -188,9 +222,9 @@ def _reference_moment(mu, k, level, prec):
     p = mu.p
     c = check_distribution_and_bound(mu).bound_cert
     total = from_rational(0, p, prec)
-    for a in mu.level_keys(level):
-        w = mu(level, a)
-        if w == 0:
+    for a in range(1, p ** level):
+        w = mu.levels[level][a]
+        if a % p == 0 or w == 0:
             continue
         lg = log_iwasawa(Fraction(a), p, prec)
         total = total + lg ** k * from_rational(w, p, prec + c)
@@ -231,7 +265,7 @@ def test_mass_claims_no_more_than_the_modulus():
     # k = 0 and s = 0, as the moments with k >= 1 already do
     approx = mtt_measure(E11, 3, 3, prec=6)                   # c = 0
     shifted = dirac(5, 3, 2).scale(Fraction(3, 25))
-    shifted = BallMeasure(5, 3, shifted.values, modulus=4)   # c = 2
+    shifted = BallMeasure(5, shifted.levels, modulus=4)      # c = 2
     for mu, prec in ((approx, 20), (approx, 4), (shifted, 20)):
         cap = mu.modulus - check_distribution_and_bound(mu).bound_cert
         for level in range(1, mu.N + 1):
@@ -260,31 +294,30 @@ def test_distribution_report_is_computed_once():
 
 
 def _reference_check(mu):
-    """The distribution check as a loop of dict lookups, p per ball."""
-    p, vals = mu.p, mu.values
+    """The distribution check as a loop of lookups, p per ball."""
+    p, levels = mu.p, mu.levels
     failures = []
     for n in range(1, mu.N):
         pn = p ** n
         for a in range(1, pn):
             if a % p == 0:
                 continue
-            diff = vals.get((n, a), 0) - sum(
-                vals.get((n + 1, a + b * pn), 0) for b in range(p))
+            diff = levels[n][a] - sum(
+                levels[n + 1][a + b * pn] for b in range(p))
             if diff != 0 and (mu.modulus is None
                               or ord_p(diff, p) < mu.modulus):
                 failures.append((n, a))
-    worst = max((-ord_p(v, p) for v in vals.values()
+    worst = max((-ord_p(v, p) for level in levels for v in level
                  if Fraction(v).denominator % p == 0), default=0)
     return not failures, worst, failures
 
 
 def _perturbed(mu, n, delta):
     """A fresh copy of mu with delta added at the middle unit of level n."""
-    vals = dict(mu.values)
-    keys = sorted(a for (m, a) in vals if m == n)
-    key = (n, keys[len(keys) // 2])
-    vals[key] += delta
-    return BallMeasure(mu.p, mu.N, vals, mu.modulus)
+    p, levels = mu.p, _copy(mu.levels)
+    units = [a for a in range(p ** n) if a % p]
+    levels[n][units[len(units) // 2]] += delta
+    return BallMeasure(mu.p, levels, mu.modulus)
 
 
 def test_distribution_check_matches_dict_reference():

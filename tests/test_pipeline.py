@@ -27,15 +27,16 @@ def test_measure_distribution_multiplicative():
         rep = check_distribution_and_bound(mu)
         assert rep.ok and rep.bound_cert == 0
         assert mu.modulus is None
-        assert all(v.denominator == 1 for v in mu.values.values())
+        assert all(v.denominator == 1 for level in mu.levels for v in level)
 
 
 def test_measure_values_are_ints():
     for E, p, kind in ((E11, 11, "split"), (E15, 3, "nonsplit"),
                        (E11, 3, "good")):
         mu = mtt_measure(E, p, 3, prec=6)
-        assert len(mu.values) == (p - 1) * (1 + p + p * p), kind
-        assert all(type(v) is int for v in mu.values.values()), kind
+        units = sum(len(level) - len(level[::p]) for level in mu.levels)
+        assert units == (p - 1) * (1 + p + p * p), kind
+        assert all(type(v) is int for level in mu.levels for v in level), kind
 
 
 def test_measure_rejects_additive():
