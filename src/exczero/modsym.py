@@ -92,14 +92,13 @@ class ModularSymbolSpace:
         reduced, pivots = rref(rows)
         self.free = tuple(j for j in range(len(p1)) if j not in pivots)
         self.dim = len(self.free)
-        # rel_mat[i][j]: coordinate i of Manin symbol j on the free symbols
-        rel = [[Fraction(0)] * len(p1) for _ in self.free]
+        # rel_cols[j] = {i: x}: Manin symbol j is the sum of x times free
+        # symbol i; a reduced row is 1 at its pivot and 0 at the others
+        coord = {j: i for i, j in enumerate(self.free)}
+        self.rel_cols = rel = [{coord[j]: 1} if j in coord else None
+                               for j in range(len(p1))]
         for row, col in zip(reduced, pivots):
-            for i, j in enumerate(self.free):
-                rel[i][col] = -row.get(j, Fraction(0))
-        for i, j in enumerate(self.free):
-            rel[i][j] = Fraction(1)
-        self.rel_mat = rel
+            rel[col] = {coord[j]: -x for j, x in row.items() if j != col}
 
     def _action_matrix(self, mats):
         """Quotient matrix (a list of rows) of the sum of right actions of
@@ -113,9 +112,8 @@ class ModularSymbolSpace:
                 d1 = (b * c + dd * d) % N
                 if gcd(N, gcd(c1, d1)) > 1:
                     continue
-                j = self.p1.index((c1, d1))
-                for i, rel in enumerate(self.rel_mat):
-                    out[i][col] += rel[j]
+                for i, x in self.rel_cols[self.p1.index((c1, d1))].items():
+                    out[i][col] += x
         return out
 
     def hecke_matrix(self, n):
@@ -142,8 +140,8 @@ class ModularSymbolSpace:
             ell = _next_prime(ell)
         assert len(space) == 1, "no plus eigensymbol found"
         lam = space[0]
-        values = [sum(lam[i] * self.rel_mat[i][j] for i in range(dim))
-                  for j in range(len(self.p1))]
+        values = [sum(lam[i] * x for i, x in col.items())
+                  for col in self.rel_cols]
         # normalize: integral values of content one, positive at (1 : 0),
         # or at the first nonzero value when lam(0) = 0 (L(E, 1) = 0)
         denom = lcm(*(v.denominator for v in values))
