@@ -161,36 +161,15 @@ class Cyclotomic:
                     poly[i - d + j] -= c * pj
         return [Fraction(c, den) for c in poly[:d]]
 
-    def _trace_down(self, ell):
-        """The normalized trace of self to Q(zeta_d), d = M/ell, at level d;
-        it equals self exactly when self lies in Q(zeta_d)."""
-        d = self.level // ell
-        if d % ell == 0:
-            # the conjugates of zeta_M^e over Q(zeta_d) are zeta_M^e zeta_ell^(ke)
-            pairs = [(e // ell, c) for e, c in self.terms.items() if e % ell == 0]
-        else:
-            # zeta_M^e = zeta_ell^(e s) zeta_d^(e/ell), s prime to ell; the
-            # zeta_ell^(e s) averages to 1 if ell | e, else to -1/(ell - 1)
-            inv = pow(ell, -1, d)
-            pairs = [(e * inv, c if e % ell == 0 else Fraction(-c, ell - 1))
-                     for e, c in self.terms.items()]
-        return Cyclotomic._of(d, _collect(d, pairs))
-
     def __eq__(self, other):
         if not isinstance(other, (int, Fraction, Cyclotomic)):
             return NotImplemented
         a, b = self._match(other)
         return a.terms == b.terms or not any((a - b)._reduced())
 
-    def __hash__(self):
-        # equal values at different levels hash alike: hash the reduced form
-        # at the least level M whose field Q(zeta_M) holds the value
-        x = self
-        for ell in _prime_factors(self.level):
-            while x.level % ell == 0 and x._trace_down(ell) == x:
-                x = x._trace_down(ell)
-        c = x._reduced()
-        return hash(c[0]) if x.level == 1 else hash((x.level, tuple(c)))
+    # unhashable, as PadicNumber is: an equal value at another level has
+    # other terms, and no caller needs a Cyclotomic as a key
+    __hash__ = None
 
     def is_rational(self):
         return not any(self._reduced()[1:])
