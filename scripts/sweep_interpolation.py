@@ -22,7 +22,9 @@ def main():
     for E in CURVES:
         for p in (3, 5, 7, 11, 13):
             kind = reduction_type(E, p)
-            if kind == "additive" or (kind == "good" and ap(E, p) % p == 0):
+            if kind == "good" and ap(E, p) % p == 0:
+                kind = f"supersingular, a_{p} = {ap(E, p)}"
+            if kind not in ("good", "split", "nonsplit"):
                 print(f"{E.label} p={p}: skipped ({kind})")
                 continue
             rep = total_mass_report(E, p, args.level, args.prec)
