@@ -214,9 +214,9 @@ def load_measure(path):
             raise ValueError("header must be 'p N c [modulus]'")
         p, N, _c, *mod = (int(x) for x in rows[0])
         if not (2 < p <= MAX_P and all(p % d for d in range(2, p))
-                and 1 <= N <= MAX_LEVEL):
-            raise ValueError(f"needs an odd prime p <= {MAX_P} and "
-                             f"1 <= N <= {MAX_LEVEL}")
+                and 1 <= N <= MAX_LEVEL and min(mod, default=1) >= 1):
+            raise ValueError(f"needs an odd prime p <= {MAX_P}, "
+                             f"1 <= N <= {MAX_LEVEL} and a modulus >= 1")
         levels = [[0] * p ** n for n in range(N + 1)]
         for row in rows[1:]:
             n, a, v = row

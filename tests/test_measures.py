@@ -159,7 +159,7 @@ def test_load_rejects_malformed(tmp_path):
                  "5 2 0\n1 2\n", "5 2 0\n1 2 x\n", "5 2 0\n1 2 1/0\n",
                  "5 2 0\n3 2 1\n", "5 2 0\n1 5 1\n", "5 2 0\n1 7 1\n",
                  "5 2 0\n1 -3 1\n", "13 40 0\n", "13 12 0\n", "9 2 0\n",
-                 "17 1 0\n", "3 0 0\n"):
+                 "17 1 0\n", "3 0 0\n", "5 2 0 0\n", "5 2 0 -3\n"):
         path.write_text(text)
         tracemalloc.start()
         try:
