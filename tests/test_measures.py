@@ -373,3 +373,41 @@ def test_claimed_precision_against_a_higher_level():
                            else min(level + 1, mu.modulus))
             assert err <= want_err
             assert (got - want).truncate_abs(err).is_zero, (p, level)
+
+
+E15 = EllipticCurve("15a1", 15, 1, 1, 1, -10, -10)
+
+# (repr, abs_prec) of moment k = 0..4 at the top level, then
+# (repr of value.truncate_abs(err), err) of gamma_transform at s = p, 2p
+PINNED = [
+    (lambda: mtt_measure(E11, 11, 4), 4,
+     [("O(11^20)", 20), ("485*11^1 + O(11^4)", 4), ("O(11^5)", 5),
+      ("85*11^3 + O(11^6)", 6), ("O(11^7)", 7)],
+     [("485*11^2 + O(11^5)", 5), ("970*11^2 + O(11^5)", 5)]),
+    (lambda: mtt_measure(E11, 3, 5, prec=12), 5,
+     [("270896*3^0 + O(3^12)", 12), ("64*3^1 + O(3^5)", 5),
+      ("1*3^4 + O(3^6)", 6), ("28*3^3 + O(3^7)", 7), ("13*3^5 + O(3^8)", 8)],
+     [("41*3^0 + O(3^6)", 6), ("374*3^0 + O(3^6)", 6)]),
+    (lambda: mtt_measure(E11, 5, 5, prec=4), 5,
+     [("17*5^2 + O(5^4)", 4), ("3*5^3 + O(5^4)", 4), ("O(5^4)", 4),
+      ("O(5^4)", 4), ("O(5^4)", 4)],
+     [("17*5^2 + O(5^4)", 4), ("17*5^2 + O(5^4)", 4)]),
+    (lambda: mtt_measure(E15, 5, 5), 5,
+     [("O(5^20)", 20), ("152*5^1 + O(5^5)", 5), ("62*5^2 + O(5^6)", 6),
+      ("571*5^3 + O(5^7)", 7), ("94*5^5 + O(5^8)", 8)],
+     [("302*5^2 + O(5^6)", 6), ("279*5^2 + O(5^6)", 6)]),
+]
+
+
+@pytest.mark.parametrize("make, level, moments, gammas", PINNED,
+                         ids=["11a1@11", "11a1@3", "11a1@5", "15a1@5"])
+def test_moments_and_gamma_transform_are_pinned(make, level, moments, gammas):
+    mu = make()
+    got = [(repr(m), m.abs_prec)
+           for m in (moment(mu, k, level) for k in range(5))]
+    assert got == moments
+    got = []
+    for s in (mu.p, 2 * mu.p):
+        val, err = gamma_transform(mu, s, level)
+        got.append((repr(val.truncate_abs(err)), err))
+    assert got == gammas
