@@ -1,14 +1,17 @@
 """p-adic measures on Z_p^* stored on residue balls up to a maximal level,
 with distribution-relation and boundedness checking, Riemann-sum integration
 of <a>^s (the Gamma-transform L_p(s)), log-power moments, and vanishing-order
-detection.  p is odd throughout (the logarithm pipeline excludes 2)."""
+detection.  The Riemann sums sample each ball at its point w(i)(1+p)^j, so
+both read the Mazur-Tate weights (_weights) in one integer pass; a value
+claims only the digits that its error bound proves, and prec caps them.
+p is odd throughout (the logarithm pipeline excludes 2)."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .padic import (
-    DEFAULT_PREC, PadicNumber, exp_p, from_rational, log_iwasawa, log_unit,
-    ord_p, teichmuller,
+    DEFAULT_PREC, PadicNumber, exp_p, from_rational, log_iwasawa, ord_p,
+    teichmuller,
 )
 
 __all__ = [
@@ -102,15 +105,33 @@ def check_distribution_and_bound(mu):
     return mu.report
 
 
-def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
-    """Riemann sum of <a>^s = exp_p(s log_p<a>) against mu at the given level.
+def _weights(mu, level, digits):
+    """The Mazur-Tate weights W_j = sum over 0 < i < p of
+    mu(w(i) g^j + p^n Z_p), 0 <= j < p^(n-1), as the integers p^c W_j mod
+    p^digits; w(i) is the Teichmuller lift and g = 1 + p.  The points
+    w(i) g^j meet every unit residue mod p^n once, and <w(i) g^j> = g^j."""
+    p, values = mu.p, mu.levels[level]
+    sums = [0] * p ** (level - 1)
+    for i in range(1, p):
+        x = teichmuller(i, p, level).unit
+        for j in range(len(sums)):
+            sums[j] += values[x]
+            x = x * (1 + p) % len(values)
+    m, scale = p ** digits, p ** check_distribution_and_bound(mu).bound_cert
+    sums = [t * scale for t in sums]
+    return [t % m if type(t) is int else
+            t.numerator * pow(t.denominator, -1, m) % m for t in sums]
 
-    Returns (value, error_exponent).  Error analysis: for a = b mod p^level
-    the integrand difference is exp(s log<a>) - exp(s log<b>) with
-    ord(log<a> - log<b>) >= level, so each ball contributes an error of
-    ord >= level + ord(s) - c where c is the boundedness certificate; the
-    ultrametric makes the total error no worse.  s = 0 is exact, or known
-    mod p^(modulus - c) for a measure with a modulus."""
+
+def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
+    """Riemann sum of <a>^s = exp_p(s log_p<a>) against mu at the given
+    level, sampled at w(i) g^j (see _weights): with h = g^s it is
+    sum_j W_j h^j, by Horner's rule.  Returns (value, err), the value
+    truncated to err = level + ord(s) - c (at most modulus - c): for
+    a = b mod p^level, <a>^s - <b>^s has ord >= level + ord(s), and every
+    value has ord >= -c, the boundedness certificate.  s = 0 gives the mass
+    and err None, or modulus - c.  prec is the relative precision of a
+    rational s; a PadicNumber s known to fewer digits leaves fewer."""
     p = mu.p
     assert 1 <= level <= mu.N
     if not isinstance(s, PadicNumber):
@@ -120,21 +141,26 @@ def gamma_transform(mu, s, level, prec=DEFAULT_PREC):
         return moment(mu, 0, level, prec), \
             None if mu.modulus is None else mu.modulus - c
     assert s.val >= 1, "Gamma-transform needs ord(s) >= 1"
-    total = from_rational(0, p, prec)
-    for a, w in enumerate(mu.levels[level]):
-        if not w:
-            continue
-        bracket_pow = exp_p(s * log_iwasawa(Fraction(a), p, prec))
-        total = total + bracket_pow * from_rational(w, p, prec + c)
     err_exp = level + s.val - c
     if mu.modulus is not None:
         err_exp = min(err_exp, mu.modulus - c)
-    return total, err_exp
+    h = exp_p(s * log_iwasawa(Fraction(1 + p), p, err_exp + c))
+    digits = min(err_exp + c, h.abs_prec)
+    m, h = p ** digits, h.residue_mod(digits)
+    total = 0
+    for w in reversed(_weights(mu, level, digits)):
+        total = (total * h + w) % m
+    return from_rational(Fraction(total, p ** c), p, digits).truncate_abs(
+        digits - c), err_exp
 
 
 def moment(mu, k, level, prec=DEFAULT_PREC):
     """Riemann sum of (log_p<a>)^k against mu; the k-th Taylor coefficient
-    of the Gamma-transform at s = 0 up to k!."""
+    of the Gamma-transform at s = 0 up to k!.  Sampled at w(i) g^j (see
+    _weights), it is log_p(g)^k S_k with the integer S_k = sum_j j^k W_j.
+    The integrand varies by ord >= level + k - 1 on each ball, so for k >= 1
+    the sum is accurate to err = level + k - 1 - c (at most modulus - c) and
+    claims min(err, prec) digits: prec only caps them."""
     assert 0 <= k <= MAX_MOMENT
     p = mu.p
     assert 1 <= level <= mu.N
@@ -143,36 +169,16 @@ def moment(mu, k, level, prec=DEFAULT_PREC):
         mass = from_rational(mu.mass(level), p, prec)
         return mass if mu.modulus is None \
             else mass.truncate_abs(mu.modulus - c)
-    # the integrand varies by ord >= level + (k-1) on each ball, so the sum
-    # is accurate to ord >= level + k - 1 - c (and mod p^modulus if set)
     err_exp = level + k - 1 - c
     if mu.modulus is not None:
         err_exp = min(err_exp, mu.modulus - c)
-    # log<a> is known mod p^prec, so the term w log<a>^k is known to
-    # ord >= prec + ord(w) + (k-1) ord(log<a>), or prec k + ord(w) when
-    # log<a> = 0 mod p^prec; every such bound is >= prec - c.  When
-    # abs_prec is at most that, the sum is taken mod p^(abs_prec + c) and
-    # needs log<a> only to abs_prec + c digits.
-    abs_prec = min(err_exp, prec)
-    refine = abs_prec > prec - c
-    digits = prec if refine else abs_prec + c
-    w_inv = [None] + [pow(teichmuller(r, p, digits).unit, -1, p ** digits)
-                      for r in range(1, p)]
-    terms = [(w, log_unit(a, w_inv[a % p], p, digits))
-             for a, w in enumerate(mu.levels[level]) if w]
-    if refine:
-        for w, lg in terms:
-            lg_prec = prec * k if lg == 0 else prec + (k - 1) * ord_p(lg, p)
-            abs_prec = min(abs_prec, ord_p(w, p) + lg_prec)
-    # sum p^c w log<a>^k in the integers mod p^(abs_prec + c)
-    m, scale = p ** (abs_prec + c), p ** c
-    total = 0
-    for w, lg in terms:
-        w *= scale
-        w = w if type(w) is int else w.numerator * pow(w.denominator, -1, m)
-        total += w * pow(lg, k, m)
-    return from_rational(Fraction(total % m, scale), p,
-                         abs_prec + c).truncate_abs(abs_prec)
+    digits = min(err_exp, prec) + c
+    m = p ** digits
+    s_k = sum(j ** k * w for j, w in enumerate(_weights(mu, level, digits)))
+    log_g = log_iwasawa(Fraction(1 + p), p, digits).residue_mod(digits)
+    total = pow(log_g, k, m) * s_k % m
+    return from_rational(Fraction(total, p ** c), p, digits).truncate_abs(
+        digits - c)
 
 
 def vanishing_order(mu, r_max, level, prec=DEFAULT_PREC):

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 __all__ = [
     "PadicNumber", "ord_p", "from_rational", "teichmuller",
-    "log_iwasawa", "log_unit", "exp_p", "unit_root",
+    "log_iwasawa", "exp_p", "unit_root",
 ]
 
 DEFAULT_PREC = 20
@@ -235,18 +235,6 @@ def _log_coeffs(p, abs_prec):
     return tuple(reversed(coeffs))
 
 
-def log_unit(u, w_inv, p, n):
-    """log_p<u> mod p^n as an integer, for an integer unit u and the inverse
-    mod p^n of its Teichmuller lift: the integer core of log_iwasawa.
-    <u> = u w(u)^-1 = 1 + p s, and log(1 + p s) is a polynomial in s."""
-    m = p ** n
-    s = (u * w_inv - 1) % m // p
-    total = 0
-    for b in _log_coeffs(p, n):
-        total = (total + b) * s % m
-    return total
-
-
 def _intlog(n, p):
     e = 0
     while p ** (e + 1) <= n:
@@ -258,7 +246,8 @@ def log_iwasawa(x, p=None, prec=DEFAULT_PREC):
     """Iwasawa logarithm: log_p with log_p(p) = 0 (and log_p(torsion) = 0).
 
     Accepts a PadicNumber, or a rational together with p.  Writes
-    x = p^v * w(x) * <x> and returns log(<x>) via the convergent series.
+    x = p^v * w(x) * <x> with <x> = 1 + p s, and returns log(1 + p s) as
+    a polynomial in s (see _log_coeffs).
     """
     if not isinstance(x, PadicNumber):
         assert p is not None
@@ -268,9 +257,12 @@ def log_iwasawa(x, p=None, prec=DEFAULT_PREC):
     p = x.p
     if p == 2:
         raise NotImplementedError("p = 2 excluded from the logarithm pipeline")
-    n = x.prec
+    n, m = x.prec, p ** x.prec
     w = teichmuller(x.unit % p, p, n).unit
-    val = log_unit(x.unit, pow(w, -1, p ** n), p, n)
+    s = (x.unit * pow(w, -1, m) - 1) % m // p
+    val = 0
+    for b in _log_coeffs(p, n):
+        val = (val + b) * s % m
     if val == 0:
         return PadicNumber.zero(p, n)
     return from_rational(val, p, n).truncate_abs(n)

@@ -9,7 +9,9 @@ from exczero.measures import (
     load_measure, moment, save_measure, vanishing_order,
 )
 from exczero.curves import EllipticCurve
-from exczero.padic import exp_p, from_rational, log_iwasawa, ord_p
+from exczero.padic import (
+    exp_p, from_rational, log_iwasawa, ord_p, teichmuller,
+)
 from exczero.pipeline import mtt_measure
 
 E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
@@ -36,6 +38,20 @@ def test_bound_certificate():
     assert check_distribution_and_bound(mu).bound_cert == 2
 
 
+def test_sample_points_meet_every_unit_residue_once():
+    # w(i) (1 + p)^j, 0 < i < p and 0 <= j < p^(n-1), is a system of
+    # representatives of (Z/p^n)^*, and <w(i) (1 + p)^j> = (1 + p)^j
+    for p in (3, 5, 7, 11, 13):
+        for n in (1, 2, 3):
+            m = p ** n
+            points = [teichmuller(i, p, n).unit * (1 + p) ** j % m
+                      for i in range(1, p) for j in range(p ** (n - 1))]
+            assert sorted(points) == [a for a in range(m) if a % p], (p, n)
+            for i in range(1, p):
+                w = teichmuller(i, p, n).unit
+                assert w % p == i and pow(w, p - 1, m) == 1
+
+
 def test_total_mass_at_s_zero():
     mu = dirac(5, 3, 2).scale(3) + dirac(5, 3, 7).scale(-1)
     val, err = gamma_transform(mu, 0, 3)
@@ -56,6 +72,10 @@ def test_two_point_closed_form():
     val, err = gamma_transform(mu, s, 4)
     closed = exp_p(s * log_iwasawa(Fraction(1 + p), p, 18)) - 1
     assert (val - closed).truncate_abs(err).is_zero
+    # s known only mod p^2 gives h = (1 + p)^s mod p^3, so 3 digits < err
+    coarse, coarse_err = gamma_transform(mu, from_rational(p, p, 1), 4)
+    assert coarse_err == err == 5 and coarse.abs_prec == 3
+    assert (coarse - closed).truncate_abs(3).is_zero
     assert moment(mu, 0, 4).is_zero
     m1 = moment(mu, 1, 4)
     assert m1 == log_iwasawa(Fraction(1 + p), p, 18).truncate_abs(m1.abs_prec)
@@ -256,8 +276,17 @@ def test_moment_matches_padic_reference():
             for k in range(1, 5):
                 got = moment(mu, k, level, prec)
                 ref = _reference_moment(mu, k, level, prec)
-                assert got.abs_prec == ref.abs_prec, (mu.p, k, prec)
-                assert _same(got, ref), (mu.p, k, prec, got, ref)
+                c = check_distribution_and_bound(mu).bound_cert
+                err_exp = level + k - 1 - c
+                if mu.modulus is not None:
+                    err_exp = min(err_exp, mu.modulus - c)
+                assert got.abs_prec == min(err_exp, prec), (mu.p, k, prec)
+                assert got.abs_prec >= ref.abs_prec, (mu.p, k, prec)
+                # the reference with c more digits of log<a> proves them all
+                if c:
+                    ref = _reference_moment(mu, k, level, prec + c)
+                assert _same(got, ref.truncate_abs(got.abs_prec)), \
+                    (mu.p, k, prec, got, ref)
 
 
 def test_mass_claims_no_more_than_the_modulus():
@@ -366,11 +395,14 @@ def test_claimed_precision_against_a_higher_level():
                 assert got.abs_prec <= want.abs_prec, (p, k, level)
                 assert (got - want).truncate_abs(got.abs_prec).is_zero, \
                     (p, k, level, got, want)
+        # the value claims exactly the digits that the error bound proves
         want, want_err = gamma_transform(mu, p, top, prec)
+        assert want.abs_prec == want_err, (p, want, want_err)
         for level in (1, 2, 3):
             got, err = gamma_transform(mu, p, level, prec)
             assert err == (level + 1 if mu.modulus is None
                            else min(level + 1, mu.modulus))
+            assert got.abs_prec == err, (p, level, got, err)
             assert err <= want_err
             assert (got - want).truncate_abs(err).is_zero, (p, level)
 
