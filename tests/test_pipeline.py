@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from exczero.curves import EllipticCurve
+from exczero.curves import EllipticCurve, ap, reduction_type
 from exczero.measures import check_distribution_and_bound, vanishing_order
 from exczero.modsym import ModularSymbolSpace
 from exczero.padic import from_rational, unit_root
@@ -93,3 +93,41 @@ def test_vanishing_order_split():
 def test_exceptional_zero_requires_split():
     with pytest.raises(AssertionError):
         exceptional_zero_report(E15, 3, 2)
+
+
+E27 = EllipticCurve("27a1", 27, 0, 0, 1, 0, -7)
+E91 = EllipticCurve("91a1", 91, 0, 1, 1, -7, 5)
+
+
+def _reference_levels(E, p, level, prec, msym):
+    """mtt_measure's levels by lam on every unit ball of every level."""
+    lam, levels = msym.lam_ratio, [[0]]
+    kind = reduction_type(E, p)
+    if kind == "good":
+        mod = p ** prec
+        ainv = int(unit_root(ap(E, p), p, prec).inverse().unit_mod(prec))
+        for n in range(1, level + 1):
+            pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
+            levels.append([(c0 * lam(x, pn) - c1 * lam(x, pn // p)) % mod
+                           if x % p else 0 for x in range(pn)])
+        return levels, prec
+    a = 1 if kind == "split" else -1
+    for n in range(1, level + 1):
+        levels.append([a ** n * lam(x, p ** n) if x % p else 0
+                       for x in range(p ** n)])
+    return levels, None
+
+
+@pytest.mark.parametrize("E, p, level, prec, kind", [
+    (E11, 11, 4, 8, "split"), (E15, 5, 4, 8, "split"),
+    (E15, 3, 5, 8, "nonsplit"), (E91, 7, 3, 8, "split"),
+    (E91, 13, 3, 8, "split"), (E11, 3, 5, 6, "good"),
+    (E11, 5, 4, 4, "good"), (E27, 7, 3, 8, "good"),
+], ids=["11a1@11", "15a1@5", "15a1@3", "91a1@7", "91a1@13", "11a1@3",
+        "11a1@5", "27a1@7"])
+def test_measure_matches_lam_on_every_ball(E, p, level, prec, kind):
+    assert reduction_type(E, p) == kind
+    msym = ModularSymbolSpace(E)
+    mu = mtt_measure(E, p, level, prec, msym)
+    assert (mu.levels, mu.modulus) == _reference_levels(E, p, level, prec,
+                                                        msym)
