@@ -33,15 +33,15 @@ class BallMeasure:
 
     modulus = None means the values are exact rationals; modulus = m means
     they are only trusted mod p^m (the case of an irrational unit root
-    approximated by a rational).  Nothing mutates a measure after
-    construction, so its distribution report is computed once and kept."""
+    approximated by a rational).  A measure is never mutated, so its
+    distribution report and each level's weights (_weights) are kept."""
 
     def __init__(self, p, levels, modulus=None):
         assert p % 2 == 1 and len(levels) >= 2
         for n, level in enumerate(levels):
             assert len(level) == p ** n and not any(level[::p])
         self.p, self.levels, self.modulus, self.report = p, levels, modulus, None
-        self.N = len(levels) - 1
+        self.N, self.weights = len(levels) - 1, {}
 
     def mass(self, level):
         """mu(Z_p^*) as the sum of the values at the given level."""
@@ -109,16 +109,19 @@ def _weights(mu, level, digits):
     """The Mazur-Tate weights W_j = sum over 0 < i < p of
     mu(w(i) g^j + p^n Z_p), 0 <= j < p^(n-1), as the integers p^c W_j mod
     p^digits; w(i) is the Teichmuller lift and g = 1 + p.  The points
-    w(i) g^j meet every unit residue mod p^n once, and <w(i) g^j> = g^j."""
-    p, values = mu.p, mu.levels[level]
-    sums = [0] * p ** (level - 1)
-    for i in range(1, p):
-        x = teichmuller(i, p, level).unit
-        for j in range(len(sums)):
-            sums[j] += values[x]
-            x = x * (1 + p) % len(values)
-    m, scale = p ** digits, p ** check_distribution_and_bound(mu).bound_cert
-    sums = [t * scale for t in sums]
+    w(i) g^j meet every unit residue mod p^n once, and <w(i) g^j> = g^j.
+    The unreduced p^c W_j of a level are kept on mu, for every later call."""
+    p, sums = mu.p, mu.weights.get(level)
+    if sums is None:
+        values, sums = mu.levels[level], [0] * p ** (level - 1)
+        for i in range(1, p):
+            x = teichmuller(i, p, level).unit
+            for j in range(len(sums)):
+                sums[j] += values[x]
+                x = x * (1 + p) % len(values)
+        scale = p ** check_distribution_and_bound(mu).bound_cert
+        sums = mu.weights[level] = [t * scale for t in sums]
+    m = p ** digits
     return [t % m if type(t) is int else
             t.numerator * pow(t.denominator, -1, m) % m for t in sums]
 

@@ -23,13 +23,15 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     alpha^-n lam(a/p^n) - alpha^-(n+1) lam(a/p^(n-1)) with alpha the unit
     root of X^2 - a_p X + p; the values are residues mod p^prec, recorded
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
-    with alpha = a_p = +-1 is exact."""
+    with alpha = a_p = +-1 is exact.  The measure is even, mu(-U) = mu(U), as
+    the plus eigensymbol has lam(-r) = lam(r): a level mirrors its lower half."""
     assert p % 2 == 1 and level >= 1
     kind = reduction_type(E, p)
     assert kind != "additive", "additive reduction"
     if msym is None:
         msym = ModularSymbolSpace(E)
     lam, levels = msym.lam_ratio, [[0]]
+    # the eigensymbol is star-invariant by construction, so lam(-r) = lam(r)
     if kind == "good":
         a = ap(E, p)
         assert a % p != 0, "supersingular prime"
@@ -40,17 +42,19 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
         raw = [lam(0, 1)]
         for n in range(1, level + 1):
             pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
-            prev, raw, vals, below = raw, [0] * pn, [0] * pn, pn // p
-            for x in range(1, pn):
-                if x % p:
-                    raw[x] = lam(x, pn)
-                    vals[x] = (c0 * raw[x] - c1 * prev[x % below]) % mod
-            levels.append(vals)
+            prev, below = raw, pn // p
+            raw = [lam(x, pn) if x % p else 0 for x in range((pn + 1) // 2)]
+            vals = [(c0 * r - c1 * prev[x % below]) % mod if x % p else 0
+                    for x, r in enumerate(raw)]
+            raw += raw[:0:-1]
+            levels.append(vals + vals[:0:-1])
         return BallMeasure(p, levels, modulus=prec)
     a = 1 if kind == "split" else -1
     for n in range(1, level + 1):
         pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
-        levels.append([sign * lam(x, pn) if x % p else 0 for x in range(pn)])
+        half = [sign * lam(x, pn) if x % p else 0
+                for x in range((pn + 1) // 2)]
+        levels.append(half + half[:0:-1])
     return BallMeasure(p, levels)
 
 

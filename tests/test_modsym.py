@@ -216,3 +216,18 @@ def test_kernel_matches_fraction_reference_on_every_ball(M11, M15):
     for M in (M11, M15):
         for n in range(-12, 13):
             assert _kernel(M, n, 1) == _reference_lam(M, n) == M.lam_zero()
+
+
+@pytest.mark.parametrize("E", [
+    E11, E15, EllipticCurve("27a1", 27, 0, 0, 1, 0, -7),
+    EllipticCurve("91a1", 91, 0, 1, 1, -7, 5)], ids=lambda E: E.label)
+def test_lam_is_even(E):
+    """lam(n/d) = lam((d - n)/d) for every 0 < n < d <= 150: lam has period
+    one and lam(-r) = lam(r), the fact that makes the measure even and lets
+    mtt_measure mirror each level.  This holds for the plus eigensymbol
+    however the space is built, whether by a star constraint on the
+    eigensymbol or by the plus quotient, and must hold after either."""
+    M = ModularSymbolSpace(E)
+    for d in range(2, 151):
+        for n in range(1, d):
+            assert M.lam_ratio(n, d) == M.lam_ratio(d - n, d), (n, d)
