@@ -23,8 +23,8 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     alpha^-n lam(a/p^n) - alpha^-(n+1) lam(a/p^(n-1)) with alpha the unit
     root of X^2 - a_p X + p; the values are residues mod p^prec, recorded
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
-    with alpha = a_p = +-1 is exact.  The measure is even, mu(-U) = mu(U), as
-    the plus eigensymbol has lam(-r) = lam(r): a level mirrors its lower half."""
+    with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
+    for the plus eigensymbol), so each level mirrors its lower half."""
     assert p % 2 == 1 and level >= 1
     kind = reduction_type(E, p)
     assert kind != "additive", "additive reduction"
