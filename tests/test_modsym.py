@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -231,3 +232,37 @@ def test_lam_is_even(E):
     for d in range(2, 151):
         for n in range(1, d):
             assert M.lam_ratio(n, d) == M.lam_ratio(d - n, d), (n, d)
+
+
+# sha1(repr(lam_sym))[:12] of twelve curves: every rank-zero and rank-one
+# case the sweeps start from must keep its eigensymbol, however the space
+# is built
+PINNED_DIGESTS = [
+    (EllipticCurve("11a1", 11, 0, -1, 1, -10, -20), "b68c9e987161"),
+    (EllipticCurve("14a1", 14, 1, 0, 1, 4, -6), "b711798076e6"),
+    (EllipticCurve("15a1", 15, 1, 1, 1, -10, -10), "8e63231ea69c"),
+    (EllipticCurve("17a1", 17, 1, -1, 1, -1, -14), "4cd28e3a3a14"),
+    (EllipticCurve("19a1", 19, 0, 1, 1, -9, -15), "dfa80461a307"),
+    (EllipticCurve("21a1", 21, 1, 0, 0, -4, -1), "c68b365fda94"),
+    (EllipticCurve("26a1", 26, 1, 0, 1, -5, -8), "820b61762531"),
+    (EllipticCurve("27a1", 27, 0, 0, 1, 0, -7), "70836f536080"),
+    (EllipticCurve("37a1", 37, 0, 0, 1, -1, 0), "b42c433cbf0d"),
+    (EllipticCurve("43a1", 43, 0, 1, 1, 0, 0), "d9806031a690"),
+    (EllipticCurve("91a1", 91, 0, 1, 1, -7, 5), "7566ad6c2ca5"),
+    (EllipticCurve("170", 170, 1, -1, 0, -10, -10), "974afc203d52"),
+]
+
+
+@pytest.mark.parametrize("E, digest", PINNED_DIGESTS,
+                         ids=[E.label for E, _ in PINNED_DIGESTS])
+def test_lam_sym_digest_pinned(E, digest):
+    lam_sym = ModularSymbolSpace(E).lam_sym
+    assert hashlib.sha1(repr(lam_sym).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("N", [1, 121])
+def test_wrong_conductor_raises(N):
+    # 11a1's coefficients at a level whose space holds no eigensymbol with
+    # its a_ell
+    with pytest.raises(AssertionError):
+        ModularSymbolSpace(EllipticCurve("11a1", N, 0, -1, 1, -10, -20))
