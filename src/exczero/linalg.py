@@ -1,10 +1,10 @@
 """Exact linear algebra over Q: the reduced row echelon form of a sparse
-matrix, its nullspace, one solution of a linear system, and the
-determinant."""
+matrix, one solution of a linear system, and the determinant."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
-__all__ = ["rref", "nullspace", "solve", "det"]
+__all__ = ["rref", "solve", "det"]
 
 
 def rref(rows):
@@ -12,46 +12,41 @@ def rref(rows):
     or a dict {column: value}.  Returns (reduced, pivots): reduced[i] is the
     i-th nonzero row as a dict, with 1 at column pivots[i] and 0 at every
     other pivot column.  Rows enter one at a time against those kept so
-    far, each kept row led by its pivot, so sparse rows stay sparse."""
-    basis = {}  # pivot column -> row
+    far, each kept row led by its pivot, so sparse rows stay sparse; a kept
+    row is an integer multiple of its reduced row, so the elimination runs
+    on ints and divides only at the end."""
+    basis = {}  # pivot column -> integer row
     for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {j: Fraction(v) for j, v in items if v != 0}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         for col in [j for j in row if j in basis]:
-            _axpy(row, -row[col], basis[col])
+            _eliminate(row, basis[col], col)
         if row:
             col = min(row)
-            inv = 1 / row[col]
-            row = {j: v * inv for j, v in row.items()}
             for other in basis.values():
                 if col in other:
-                    _axpy(other, -other[col], row)
+                    _eliminate(other, row, col)
             basis[col] = row
     pivots = sorted(basis)
-    return [basis[c] for c in pivots], pivots
+    return [{j: Fraction(v, basis[c][c]) for j, v in basis[c].items()}
+            for c in pivots], pivots
 
 
-def _axpy(y, a, x):
-    """y += a * x for dict vectors, dropping entries that cancel."""
-    for j, v in x.items():
-        s = y.get(j, 0) + a * v
+def _eliminate(y, x, col):
+    """y = x[col] y - y[col] x for integer dict vectors, clearing y[col],
+    then divided by its content; entries that cancel are dropped."""
+    a, b = x[col], y[col]
+    for j in y.keys() | x.keys():
+        s = a * y.get(j, 0) - b * x.get(j, 0)
         if s:
             y[j] = s
         else:
             del y[j]
-
-
-def nullspace(rows, ncols):
-    """A basis of {x : rows * x = 0}, one dense vector per free column."""
-    reduced, pivots = rref(rows)
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            x[col] = -row.get(f, Fraction(0))
-        basis.append(x)
-    return basis
+    g = gcd(*y.values())
+    for j in y:
+        y[j] //= g
 
 
 def solve(rows, rhs):

@@ -1,18 +1,20 @@
 """Weight-two modular symbols for Gamma_0(N) via Manin symbols.
 
-Symbols are indexed by P^1(Z/N); the quotient by the two- and three-term
-relations is cut out with exact linear algebra, and the dual Hecke
-eigensymbol of an elliptic curve is isolated as the joint eigenvector of
-the transposed Hecke operators and the plus involution.  The resulting
-functional lam(r) computes the normalized period of the path from infinity
-to a rational r through continued-fraction convergents, looking each
-symbol up by its bottom row mod N."""
+Symbols are indexed by P^1(Z/N).  The space is the plus quotient: each
+symbol is +-1 times its orbit's representative under the two-term relation
+x + xS = 0 and the star relation x = x diag(-1, 1), and exact linear algebra
+cuts out the three-term relations among the representatives.  The dual
+eigensymbol of an elliptic curve spans the kernel of the transposed
+T_ell - a_ell on that quotient.  The resulting functional lam(r) computes
+the normalized period of the path from infinity to a rational r through
+continued-fraction convergents, looking each symbol up by its bottom row
+mod N."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import ap
-from .linalg import nullspace, rref
+from .linalg import rref
 
 __all__ = ["P1", "ModularSymbolSpace", "heilbronn_matrices"]
 
@@ -67,79 +69,81 @@ def heilbronn_matrices(n):
 
 
 class ModularSymbolSpace:
-    """The weight-two Manin symbol quotient for Gamma_0(N), carrying the
-    dual eigensymbol of a fixed elliptic curve."""
+    """The weight-two Manin symbol plus quotient for Gamma_0(N), carrying
+    the dual eigensymbol of a fixed elliptic curve."""
 
-    def __init__(self, E, max_hecke_prime=50):
-        self.E = E
-        self.N = E.N
-        self.p1 = P1(self.N)
+    def __init__(self, E):
+        self.E, self.N, self.p1 = E, E.N, P1(E.N)
         self._build_quotient()
-        self._build_eigensymbol(max_hecke_prime)
+        self._build_eigensymbol()
 
-    # -- quotient by the two- and three-term relations -----------------------
+    # -- the plus quotient -----------------------------------------------------
 
     def _build_quotient(self):
         p1 = self.p1
+        # symbol j is sign[j] times symbol rep[j]: x(c, d) = -x(d, -c) = x(-c, d)
+        # = -x(d, c); an orbit that meets a symbol with both signs is 0
+        rep, sign = [None] * len(p1), [0] * len(p1)
+        for j, (c, d) in enumerate(p1):
+            if rep[j] is None:
+                orbit = {(p1.index(sym), e) for sym, e in
+                         (((c, d), 1), ((d, -c), -1), ((-c, d), 1), ((d, c), -1))}
+                zero = len(orbit) > len({k for k, _ in orbit})
+                for k, e in orbit:
+                    rep[k], sign[k] = j, 0 if zero else e
         rows = []
         for c, d in p1:
-            for rel in (((c, d), (d, -c)), ((c, d), (d, -c - d), (-c - d, c))):
-                row = {}
-                for sym in rel:
-                    j = p1.index(sym)
-                    row[j] = row.get(j, 0) + 1
-                rows.append(row)
+            row = {}
+            for k in map(p1.index, ((c, d), (d, -c - d), (-c - d, c))):
+                if sign[k]:
+                    row[rep[k]] = row.get(rep[k], 0) + sign[k]
+            rows.append(row)
         reduced, pivots = rref(rows)
-        self.free = tuple(j for j in range(len(p1)) if j not in pivots)
+        self.free = tuple(j for j in range(len(p1))
+                          if rep[j] == j and sign[j] and j not in pivots)
         self.dim = len(self.free)
         # rel_cols[j] = {i: x}: Manin symbol j is the sum of x times free
         # symbol i; a reduced row is 1 at its pivot and 0 at the others
         coord = {j: i for i, j in enumerate(self.free)}
-        self.rel_cols = rel = [{coord[j]: 1} if j in coord else None
-                               for j in range(len(p1))]
+        cols = {j: {i: 1} for j, i in coord.items()}
         for row, col in zip(reduced, pivots):
-            rel[col] = {coord[j]: -x for j, x in row.items() if j != col}
+            cols[col] = {coord[j]: -x for j, x in row.items() if j != col}
+        self.rel_cols = [{i: sign[j] * x for i, x in cols[rep[j]].items()}
+                         if sign[j] else {} for j in range(len(p1))]
 
-    def _action_matrix(self, mats):
-        """Quotient matrix (a list of rows) of the sum of right actions of
-        2x2 integer mats."""
-        N = self.N
+    def hecke_matrix(self, n):
+        """T_n on the quotient, as a list of rows: the sum of the right
+        actions of the Heilbronn matrices of determinant n."""
+        N, flat, mats = self.N, self.p1.flat, list(heilbronn_matrices(n))
         out = [[Fraction(0)] * self.dim for _ in self.free]
         for col, idx in enumerate(self.free):
             c, d = self.p1[idx]
-            for (a, b, cc, dd) in mats:
-                c1 = (a * c + cc * d) % N
-                d1 = (b * c + dd * d) % N
-                if gcd(N, gcd(c1, d1)) > 1:
-                    continue
-                for i, x in self.rel_cols[self.p1.index((c1, d1))].items():
-                    out[i][col] += x
+            for a, b, cc, dd in mats:
+                k = flat[(a * c + cc * d) % N * N + (b * c + dd * d) % N]
+                if k is not None:
+                    for i, x in self.rel_cols[k].items():
+                        out[i][col] += x
         return out
-
-    def hecke_matrix(self, n):
-        return self._action_matrix(list(heilbronn_matrices(n)))
 
     # -- the dual eigensymbol ------------------------------------------------
 
-    def _build_eigensymbol(self, max_hecke_prime):
-        dim = self.dim
-
-        def transposed_minus(m, a):  # the rows of (m - a) transposed
-            return [[m[i][j] - (a if i == j else 0) for i in range(dim)]
-                    for j in range(dim)]
-
-        constraints = transposed_minus(self._action_matrix([(-1, 0, 0, 1)]), 1)
-        space = nullspace(constraints, dim)
-        ell = 2
-        while len(space) > 1:
-            assert ell <= max_hecke_prime, "eigensymbol not isolated"
+    def _build_eigensymbol(self):
+        # reduce the rows of (T_ell - a_ell) transposed over the good primes
+        # ell until one kernel vector is left; the Eisenstein symbol has
+        # eigenvalue ell + 1 != a_ell, so even a space of dim 1 needs a prime
+        dim, rows, nullity, ell = self.dim, [], None, 2
+        while nullity != 1:
+            assert ell <= 50, "eigensymbol not isolated"
             if self.N % ell != 0:
-                constraints += transposed_minus(self.hecke_matrix(ell),
-                                                ap(self.E, ell))
-                space = nullspace(constraints, dim)
+                t, a = self.hecke_matrix(ell), ap(self.E, ell)
+                rows, pivots = rref(rows + [
+                    [t[i][j] - (a if i == j else 0) for i in range(dim)]
+                    for j in range(dim)])
+                nullity = dim - len(pivots)
+                assert nullity, "no eigensymbol with these a_ell"
             ell = _next_prime(ell)
-        assert len(space) == 1, "no plus eigensymbol found"
-        lam = space[0]
+        (f,) = set(range(dim)) - set(pivots)
+        lam = {f: 1} | {col: -row.get(f, 0) for row, col in zip(rows, pivots)}
         values = [sum(lam[i] * x for i, x in col.items())
                   for col in self.rel_cols]
         # normalize: integral values of content one, positive at (1 : 0),

@@ -70,15 +70,26 @@ def test_lam_integer_and_chain(M11, M15):
                 == sym[M.p1.index((7, 2))])
 
 
-def test_manin_relations_hold(M11):
-    # lam extends to symbols killed by the two- and three-term relations
-    p1 = M11.p1
-    lam = M11.lam_sym
-    for c, d in p1:
-        assert lam[p1.index((c, d))] + lam[p1.index((d, -c))] == 0
-        three = (lam[p1.index((c, d))] + lam[p1.index((d, -c - d))]
-                 + lam[p1.index((-c - d, c))])
-        assert three == 0
+def test_manin_relations_hold(M11, M15):
+    # lam extends to symbols killed by the two- and three-term relations,
+    # and is a plus symbol: lam(c, d) = lam(-c, d)
+    M91 = ModularSymbolSpace(EllipticCurve("91a1", 91, 0, 1, 1, -7, 5))
+    for M in (M11, M15, M91):
+        p1, lam = M.p1, M.lam_sym
+        for c, d in p1:
+            assert lam[p1.index((c, d))] + lam[p1.index((d, -c))] == 0
+            three = (lam[p1.index((c, d))] + lam[p1.index((d, -c - d))]
+                     + lam[p1.index((-c - d, c))])
+            assert three == 0
+            assert lam[p1.index((c, d))] == lam[p1.index((-c, d))]
+
+
+def test_plus_quotient_dimension(M11):
+    # the plus quotient has dim g + c - 1, g the genus of X_0(N) and c its
+    # number of cusps: 1 + 1 at N = 11, 23 + 7 at N = 170, where the space
+    # before the star relation had dim 2g + c - 1 = 53
+    assert M11.dim == 2
+    assert ModularSymbolSpace(PINNED_DIGESTS[-1][0]).dim == 30
 
 
 def test_normalization(M11, M15):
@@ -260,9 +271,10 @@ def test_lam_sym_digest_pinned(E, digest):
     assert hashlib.sha1(repr(lam_sym).encode()).hexdigest()[:12] == digest
 
 
-@pytest.mark.parametrize("N", [1, 121])
+@pytest.mark.parametrize("N", [1, 13, 121])
 def test_wrong_conductor_raises(N):
     # 11a1's coefficients at a level whose space holds no eigensymbol with
-    # its a_ell
+    # its a_ell; at N = 13 the plus quotient is the Eisenstein symbol alone,
+    # with eigenvalue ell + 1 != a_ell, which must not pass unchecked
     with pytest.raises(AssertionError):
         ModularSymbolSpace(EllipticCurve("11a1", N, 0, -1, 1, -10, -20))
