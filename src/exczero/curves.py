@@ -5,6 +5,7 @@ j-series, and the L-invariant log_p(q_E)/ord_p(q_E)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .padic import from_rational, log_iwasawa, ord_p
 
@@ -59,11 +60,20 @@ class EllipticCurve:
 
 
 def load_curve(path):
+    """The curve of a file 'label N a1 a2 a3 a4 a6'; ValueError unless N can
+    be the model's conductor (Silverman VII.5.1): N >= 1, N's primes divide
+    Delta, and each prime of Delta prime to c4 divides N exactly once."""
     with open(path) as fh:
         parts = fh.read().split()
-    label = parts[0]
-    N, a1, a2, a3, a4, a6 = (int(x) for x in parts[1:7])
-    return EllipticCurve(label, N, a1, a2, a3, a4, a6)
+    label, N, a1, a2, a3, a4, a6 = parts[:1] + [int(x) for x in parts[1:7]]
+    E = EllipticCurve(label, N, a1, a2, a3, a4, a6)
+    d = abs(E.c4 ** 3 - E.c6 ** 2) // 1728  # |Delta|, 0 for a singular model
+    m = d // gcd(d, pow(E.c4, d, d)) if d and N >= 1 else 0  # Delta prime to c4
+    # d^N = 0 mod N: N's primes divide Delta; N^m = 0 mod m: m's divide N
+    if not m or pow(d, N, N) or pow(N, m, m) or any(
+            N % (q * q) == 0 and m % q == 0 for q in range(2, isqrt(N) + 1)):
+        raise ValueError(f"{N} cannot be the conductor of the model {label}")
+    return E
 
 
 def _legendre(a, p):

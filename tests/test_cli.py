@@ -158,6 +158,11 @@ def test_desk_caps():
         assert exc.value.code == 2
 
 
+# 11a1's model with a conductor it cannot have; test_bad_input_exits_2
+# writes each to a file under its name
+BAD_CURVES = {f"11a1_N{N}.txt": f"11a1 {N} 0 -1 1 -10 -20\n"
+              for N in (0, 1, 13, 22, 121)}
+
 BAD_INPUT = [
     ["gauss", "--p", "2"],
     ["gauss", "--p", "3", "--conductor-exp", "-1"],
@@ -186,13 +191,17 @@ BAD_INPUT = [
     ["detcheck", "--kmax", "0"],
     ["detcheck", "--kmax", "5", "--mmax", "4"],
     ["detcheck", "--mmax", "7"],
-]
+] + [["interp", "--curve", name, "--p", "3", "--level", "2"]
+     for name in BAD_CURVES]
 
 
 @pytest.mark.parametrize(
     "argv", BAD_INPUT,
     ids=lambda argv: " ".join(os.path.basename(a) for a in argv))
-def test_bad_input_exits_2(argv):
+def test_bad_input_exits_2(argv, tmp_path):
+    for name, text in BAD_CURVES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_CURVES else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

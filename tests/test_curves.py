@@ -21,6 +21,32 @@ def test_load_curve():
     assert load_curve(os.path.join(DATA, "15a1.txt")) == E15
 
 
+@pytest.mark.parametrize("line, ok", [
+    ("91a1 91 0 1 1 -7 5", True),
+    ("14a1 14 1 0 1 4 -6", True),     # 2 and 7 multiplicative
+    ("27a1 27 0 0 1 0 -7", True),     # 3 additive: divides c4 and N^3
+    ("170 170 1 -1 0 -10 -10", True),
+    ("11a1 11 0 -1 1 -10 -20 extra", True),
+    ("11a1 -11 0 -1 1 -10 -20", False),
+    ("11a1 0 0 -1 1 -10 -20", False),
+    ("11a1 1 0 -1 1 -10 -20", False),    # 11 | Delta, 11 does not divide N
+    ("11a1 13 0 -1 1 -10 -20", False),   # 13 does not divide Delta
+    ("11a1 22 0 -1 1 -10 -20", False),
+    ("11a1 121 0 -1 1 -10 -20", False),  # multiplicative at 11: once only
+    ("y2=x3 1 0 0 0 0 0", False),        # singular
+    ("11a1 11 0 -1 1 -10", False),
+    pytest.param("", False, id="empty-False"),
+])
+def test_load_curve_checks_the_conductor(line, ok, tmp_path):
+    path = tmp_path / "curve.txt"
+    path.write_text(line + "\n")
+    if ok:
+        assert load_curve(path).N == int(line.split()[1])
+    else:
+        with pytest.raises(ValueError):
+            load_curve(path)
+
+
 def test_invariants_11a1():
     assert E11.discriminant == -11 ** 5
     assert E11.c4 == 496
