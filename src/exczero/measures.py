@@ -114,11 +114,12 @@ def _weights(mu, level, digits):
     p, sums = mu.p, mu.weights.get(level)
     if sums is None:
         values, sums = mu.levels[level], [0] * p ** (level - 1)
+        g, pn = 1 + p, len(values)
         for i in range(1, p):
             x = teichmuller(i, p, level).unit
             for j in range(len(sums)):
                 sums[j] += values[x]
-                x = x * (1 + p) % len(values)
+                x = x * g % pn
         scale = p ** check_distribution_and_bound(mu).bound_cert
         sums = mu.weights[level] = [t * scale for t in sums]
     m = p ** digits
