@@ -68,7 +68,7 @@ def load_curve(path):
     label, N, a1, a2, a3, a4, a6 = parts[:1] + [int(x) for x in parts[1:7]]
     E = EllipticCurve(label, N, a1, a2, a3, a4, a6)
     d = abs(E.c4 ** 3 - E.c6 ** 2) // 1728  # |Delta|, 0 for a singular model
-    m = d // gcd(d, pow(E.c4, d, d)) if d and N >= 1 else 0  # Delta prime to c4
+    m = d // gcd(d, pow(E.c4, d, d)) if d and N >= 1 else 0  # prime to c4
     # d^N = 0 mod N: N's primes divide Delta; N^m = 0 mod m: m's divide N
     if not m or pow(d, N, N) or pow(N, m, m) or any(
             N % (q * q) == 0 and m % q == 0 for q in range(2, isqrt(N) + 1)):

@@ -77,17 +77,17 @@ class ModularSymbolSpace:
         self._build_quotient()
         self._build_eigensymbol()
 
-    # -- the plus quotient -----------------------------------------------------
+    # -- the plus quotient ---------------------------------------------------
 
     def _build_quotient(self):
         p1 = self.p1
-        # symbol j is sign[j] times symbol rep[j]: x(c, d) = -x(d, -c) = x(-c, d)
-        # = -x(d, c); an orbit that meets a symbol with both signs is 0
+        # symbol j is sign[j] times symbol rep[j], as x(c, d) = -x(d, -c)
+        # = x(-c, d) = -x(d, c); an orbit meeting a symbol with both signs is 0
         rep, sign = [None] * len(p1), [0] * len(p1)
         for j, (c, d) in enumerate(p1):
             if rep[j] is None:
-                orbit = {(p1.index(sym), e) for sym, e in
-                         (((c, d), 1), ((d, -c), -1), ((-c, d), 1), ((d, c), -1))}
+                orbit = {(p1.index(sym), e) for sym, e in (
+                    ((c, d), 1), ((d, -c), -1), ((-c, d), 1), ((d, c), -1))}
                 zero = len(orbit) > len({k for k, _ in orbit})
                 for k, e in orbit:
                     rep[k], sign[k] = j, 0 if zero else e
