@@ -16,14 +16,13 @@ from .measures import (
     gamma_transform, load_measure, moment,
 )
 from .padic import DEFAULT_PREC, ord_p
-from .pipeline import VanishingLValue, exceptional_zero_report, total_mass_report
+from .pipeline import exceptional_zero_report, total_mass_report
 from .suite import (
     criterion_determinant, criterion_steinberg, criterion_tree_identities,
     run_suite,
 )
 from .tree import ball_of_vertex, ball_vertices, neighbors, vertex_from_ball
 
-MAX_N = 200
 MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
 MAX_DET_SIZE = 6        # the expansion sums over m! permutations
 MAX_TREE_RADIUS = 3     # a ball of radius 3 at p = 13 holds 2,563 vertices
@@ -191,8 +190,6 @@ def _load_curve_arg(args, parser, split_for=None):
         E = load_curve(args.curve)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read curve file: {exc}")
-    if E.N > MAX_N:
-        parser.error(f"conductor exceeds the desk cap {MAX_N}")
     if split_for and reduction_type(E, args.p) != "split":
         parser.error(f"{split_for} needs split multiplicative reduction")
     return E
@@ -201,7 +198,7 @@ def _load_curve_arg(args, parser, split_for=None):
 def _report(parser, fn, *args):
     try:
         return fn(*args)
-    except VanishingLValue as exc:
+    except ValueError as exc:   # L(E, 1) = 0, or no eigensymbol at E.N
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -10,7 +10,9 @@ from math import gcd, isqrt
 from .padic import from_rational, log_iwasawa, ord_p
 
 __all__ = ["EllipticCurve", "load_curve", "ap", "reduction_type",
-           "tate_period", "l_invariant", "j_series_coeffs"]
+           "tate_period", "l_invariant", "j_series_coeffs", "MAX_N"]
+
+MAX_N = 200  # the desk cap on a curve file's conductor
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,18 @@ class EllipticCurve:
 
 
 def load_curve(path):
-    """The curve of a file 'label N a1 a2 a3 a4 a6'; ValueError unless N can
-    be the model's conductor (Silverman VII.5.1): N >= 1, N's primes divide
-    Delta, and each prime of Delta prime to c4 divides N exactly once."""
+    """The curve of a file 'label N a1 a2 a3 a4 a6'; ValueError unless N is
+    in 1..MAX_N and can be the model's conductor (Silverman VII.5.1): N's
+    primes divide Delta, each prime of Delta prime to c4 divides N once."""
     with open(path) as fh:
         parts = fh.read().split()
     label, N, a1, a2, a3, a4, a6 = parts[:1] + [int(x) for x in parts[1:7]]
     E = EllipticCurve(label, N, a1, a2, a3, a4, a6)
     d = abs(E.c4 ** 3 - E.c6 ** 2) // 1728  # |Delta|, 0 for a singular model
-    m = d // gcd(d, pow(E.c4, d, d)) if d and N >= 1 else 0  # prime to c4
-    # d^N = 0 mod N: N's primes divide Delta; N^m = 0 mod m: m's divide N
-    if not m or pow(d, N, N) or pow(N, m, m) or any(
+    if not (d and 1 <= N <= MAX_N):
+        raise ValueError(f"{label}: needs Delta != 0 and 1 <= N <= {MAX_N}")
+    m = d // gcd(d, pow(E.c4, d.bit_length(), d))  # Delta without c4's primes
+    if pow(d, N, N) or pow(N, d.bit_length(), m) or any(  # N | d^N, m | N^e
             N % (q * q) == 0 and m % q == 0 for q in range(2, isqrt(N) + 1)):
         raise ValueError(f"{N} cannot be the conductor of the model {label}")
     return E

@@ -133,14 +133,14 @@ class ModularSymbolSpace:
         # eigenvalue ell + 1 != a_ell, so even a space of dim 1 needs a prime
         dim, rows, nullity, ell = self.dim, [], None, 2
         while nullity != 1:
-            assert ell <= 50, "eigensymbol not isolated"
+            if ell > 50 or nullity == 0:  # a conductor the curve cannot have
+                raise ValueError("no isolated eigensymbol with these a_ell")
             if self.N % ell != 0:
                 t, a = self.hecke_matrix(ell), ap(self.E, ell)
                 rows, pivots = rref(rows + [
                     [t[i][j] - (a if i == j else 0) for i in range(dim)]
                     for j in range(dim)])
                 nullity = dim - len(pivots)
-                assert nullity, "no eigensymbol with these a_ell"
             ell = _next_prime(ell)
         (f,) = set(range(dim)) - set(pivots)
         lam = {f: 1} | {col: -row.get(f, 0) for row, col in zip(rows, pivots)}

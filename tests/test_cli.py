@@ -158,10 +158,12 @@ def test_desk_caps():
         assert exc.value.code == 2
 
 
-# 11a1's model with a conductor it cannot have; test_bad_input_exits_2
-# writes each to a file under its name
+# 11a1's and 27a1's models with a conductor they cannot have, 3^60 past
+# the desk cap; test_bad_input_exits_2 writes each to a file under its name
 BAD_CURVES = {f"11a1_N{N}.txt": f"11a1 {N} 0 -1 1 -10 -20\n"
-              for N in (0, 1, 13, 22, 121)}
+              for N in (0, 1, 13, 22, 121)} | {
+              f"27a1_N{N}.txt": f"27a1 {N} 0 0 1 0 -7\n"
+              for N in (1, 9, 3 ** 60)}
 
 BAD_INPUT = [
     ["gauss", "--p", "2"],

@@ -33,6 +33,8 @@ def test_load_curve():
     ("11a1 13 0 -1 1 -10 -20", False),   # 13 does not divide Delta
     ("11a1 22 0 -1 1 -10 -20", False),
     ("11a1 121 0 -1 1 -10 -20", False),  # multiplicative at 11: once only
+    ("27a1 243 0 0 1 0 -7", False),      # can be 3^5, but past the desk cap
+    (f"27a1 {3 ** 60} 0 0 1 0 -7", False),  # no trial division up to 3^30
     ("y2=x3 1 0 0 0 0 0", False),        # singular
     ("11a1 11 0 -1 1 -10", False),
     pytest.param("", False, id="empty-False"),

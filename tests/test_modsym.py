@@ -277,5 +277,13 @@ def test_wrong_conductor_raises(N):
     # 11a1's coefficients at a level whose space holds no eigensymbol with
     # its a_ell; at N = 13 the plus quotient is the Eisenstein symbol alone,
     # with eigenvalue ell + 1 != a_ell, which must not pass unchecked
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ModularSymbolSpace(EllipticCurve("11a1", N, 0, -1, 1, -10, -20))
+
+
+@pytest.mark.parametrize("N", [1, 3, 9, 81])
+def test_wrong_additive_conductor_raises(N):
+    # 27a1's model has c4 = 0, so load_curve cannot test N at 3; the space
+    # holds no eigensymbol (N < 27) or more than one (N = 81)
+    with pytest.raises(ValueError):
+        ModularSymbolSpace(EllipticCurve("27a1", N, 0, 0, 1, 0, -7))
