@@ -68,7 +68,6 @@ def test_p1piece_equality_and_hash():
     _same(P1Piece(b, True), P1Piece(Ball(3, 10, 2), True))
     _differ(P1Piece(b), P1Piece(b, True))
     _differ(P1Piece(b), P1Piece(Ball(3, 1, 1)))
-    _same(P1Piece(b).invert(), P1Piece(b, True))
     _differ(P1Piece(b), b)
     assert P1Piece(b).complement is False
 
@@ -100,3 +99,13 @@ def test_elliptic_curve_equality_and_hash():
     assert (E.label, E.N, E.a1, E.a2, E.a3, E.a4, E.a6) == (
         "11a1", 11, 0, -1, 1, -10, -20)
     assert E.discriminant == -161051 and {E: 1}[E] == 1
+
+
+def test_reprs():
+    E = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
+    assert repr(E) == ("EllipticCurve(label='11a1', N=11, a1=0, a2=-1, a3=1,"
+                       " a4=-10, a6=-20)")
+    assert repr(EllSpec("log", 5, 8)) == "EllSpec(kind='log', p=5, prec=8)"
+    assert repr(Ball(5, 37, 2)) == "Ball(12 + 5^2*O)"
+    assert repr(MultBall(5, 6, 1)) == "MultBall(1*U^(1))"
+    assert repr(P1Piece(Ball(3, 1, 2), True)) == "P1 - Ball(1 + 3^2*O)"
