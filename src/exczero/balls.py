@@ -1,10 +1,10 @@
 """Basic compact opens of Q_p, Q_p^* and P^1(Q_p), and locally constant
 functions given as finite ball-coefficient sums."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import ord_p
+from .value import Value
 
 __all__ = ["Ball", "MultBall", "P1Piece", "BallFunction", "reduce_mod_power"]
 
@@ -32,16 +32,13 @@ def _ord_at_least(x, c, m, p):
     return m <= 0 or diff % p ** m == 0
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Value):
     """Additive ball center + p^depth * Z_p (depth any integer)."""
-    p: int
-    center: Fraction
-    depth: int
+    __slots__ = _fields = ("p", "center", "depth")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center",
-                           reduce_mod_power(self.center, self.depth, self.p))
+    def __init__(self, p, center, depth):
+        self.p, self.depth = p, depth
+        self.center = reduce_mod_power(center, depth, p)
 
     def contains(self, x):
         return _ord_at_least(x, self.center, self.depth, self.p)
@@ -71,25 +68,21 @@ class Ball:
         return f"Ball({self.center} + {self.p}^{self.depth}*O)"
 
 
-@dataclass(frozen=True)
-class MultBall:
+class MultBall(Value):
     """Multiplicative coset a * U^(n) of Q_p^*, with U^(0) the full unit group."""
-    p: int
-    a: Fraction
-    n: int
+    _fields = ("p", "a", "n")
+    __slots__ = _fields + ("val",)
 
-    def __post_init__(self):
-        assert self.n >= 0
-        a = Fraction(self.a)
+    def __init__(self, p, a, n):
+        assert n >= 0
+        a = Fraction(a)
         assert a != 0
-        v = ord_p(a, self.p)
-        if self.n == 0:
-            a = Fraction(self.p) ** v
+        v = ord_p(a, p)
+        if n == 0:
+            a = Fraction(p) ** v
         else:
-            u = reduce_mod_power(a / Fraction(self.p) ** v, self.n, self.p)
-            a = u * Fraction(self.p) ** v
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "val", v)   # ord_p(a), not a field
+            a = reduce_mod_power(a / Fraction(p) ** v, n, p) * Fraction(p) ** v
+        self.p, self.a, self.n, self.val = p, a, n, v   # val: not a field
 
     def contains(self, x):
         """x in a U^(n): ord(x) = ord(a) and, for n >= 1, ord(x - a) >= ord(a) + n."""
@@ -119,12 +112,13 @@ class MultBall:
         return f"MultBall({self.a}*U^({self.n}))"
 
 
-@dataclass(frozen=True)
-class P1Piece:
+class P1Piece(Value):
     """A ball of Q_p viewed inside P^1, or the complement of one (which is
     the piece containing infinity)."""
-    ball: Ball
-    complement: bool = False
+    __slots__ = _fields = ("ball", "complement")
+
+    def __init__(self, ball, complement=False):
+        self.ball, self.complement = ball, complement
 
     def contains_infinity(self):
         return self.complement

@@ -216,7 +216,8 @@ def cmd_interp(args, parser):
     return _emit(args, rep.ok, {
         "curve": E.label, "p": args.p, "kind": rep.kind, "level": args.level,
         "total_mass": rep.total, "lam0": rep.lam_zero, "ratio": rep.ratio,
-        "predicted": rep.predicted, "check_exp": rep.check_exp})
+        "predicted": rep.predicted, "check_exp": rep.check_exp},
+        {"stage_s": rep.stage_s})
 
 
 def cmd_ezero(args, parser):

@@ -3,11 +3,11 @@ invariants, Hecke eigenvalues a_ell by point counting (tangent-slope test at
 multiplicative primes), Tate periods at multiplicative p by inverting the
 j-series, and the L-invariant log_p(q_E)/ord_p(q_E)."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .padic import from_rational, log_iwasawa, ord_p
+from .value import Value
 
 __all__ = ["EllipticCurve", "load_curve", "ap", "reduction_type",
            "tate_period", "l_invariant", "j_series_coeffs", "MAX_N"]
@@ -15,15 +15,13 @@ __all__ = ["EllipticCurve", "load_curve", "ap", "reduction_type",
 MAX_N = 200  # the desk cap on a curve file's conductor
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    label: str
-    N: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+class EllipticCurve(Value):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, of conductor N."""
+    __slots__ = _fields = ("label", "N", "a1", "a2", "a3", "a4", "a6")
+
+    def __init__(self, label, N, a1, a2, a3, a4, a6):
+        self.label, self.N = label, N
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
 
     @property
     def b2(self):

@@ -3,7 +3,7 @@
 Mellin transforms with a rigorous tail bound, and diagonal Whittaker
 values."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .balls import Ball, MultBall
@@ -62,12 +62,8 @@ def shell_integral(chi, alpha, n):
         * unit_psi_chi_integral(chi, Fraction(chi.p) ** n)
 
 
-@dataclass
-class MellinResult:
-    value: Cyclotomic | complex
-    tail_bound: float
-    n_min: int
-    n_max: int
+# value is a Cyclotomic, or a complex for the float sum
+MellinResult = namedtuple("MellinResult", "value tail_bound n_min n_max")
 
 
 def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):

@@ -6,7 +6,7 @@ both read the Mazur-Tate weights (_weights) in one integer pass; a value
 claims only the digits that its error bound proves, and prec caps them.
 p is odd throughout (the logarithm pipeline excludes 2)."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .padic import (
@@ -72,11 +72,8 @@ def dirac(p, N, at):
     return BallMeasure(p, levels)
 
 
-@dataclass
-class DistributionReport:
-    ok: bool
-    bound_cert: int
-    failures: list = field(default_factory=list)
+# failures lists the (n, a) whose ball fails the distribution relation
+DistributionReport = namedtuple("DistributionReport", "ok bound_cert failures")
 
 
 def check_distribution_and_bound(mu):

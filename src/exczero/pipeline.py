@@ -3,14 +3,14 @@ prime, its total mass against the interpolation prediction, and the
 exceptional-zero comparison of the first log-moment with the L-invariant at a
 split multiplicative prime."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from time import perf_counter
 
 from .curves import ap, l_invariant, reduction_type
 from .measures import BallMeasure, check_distribution_and_bound, moment
 from .modsym import ModularSymbolSpace
-from .padic import DEFAULT_PREC, PadicNumber, from_rational, unit_root
+from .padic import DEFAULT_PREC, from_rational, unit_root
 
 __all__ = ["mtt_measure", "total_mass_report", "exceptional_zero_report",
            "TotalMassReport", "ExceptionalZeroReport", "VanishingLValue"]
@@ -25,16 +25,20 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
     with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
     for the plus eigensymbol), so each level mirrors its lower half."""
-    assert p % 2 == 1 and level >= 1
+    assert level >= 1
+    if p == 2:
+        raise ValueError("the measure needs an odd p")
     kind = reduction_type(E, p)
-    assert kind != "additive", "additive reduction"
+    if kind == "additive":
+        raise ValueError(f"additive reduction at {p}")
     if msym is None:
         msym = ModularSymbolSpace(E)
     lam, levels = msym.lam_ratio, [[0]]
     # the eigensymbol is star-invariant by construction, so lam(-r) = lam(r)
     if kind == "good":
         a = ap(E, p)
-        assert a % p != 0, "supersingular prime"
+        if a % p == 0:
+            raise ValueError(f"supersingular prime {p}")
         mod = p ** prec
         ainv = int(unit_root(a, p, prec).inverse().unit_mod(prec))
         # prev[y] = lam(y/p^(n-1)) from the level below; lam has period
@@ -58,17 +62,10 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     return BallMeasure(p, levels)
 
 
-@dataclass
-class TotalMassReport:
-    label: str
-    p: int
-    kind: str
-    total: int        # mu(Z_p^*), unnormalized
-    lam_zero: int
-    ratio: Fraction   # total / lam(0)
-    predicted: Fraction
-    check_exp: int    # agreement claimed mod p^check_exp (0 means exact)
-    ok: bool
+# total = mu(Z_p^*), unnormalized; ok compares ratio = total / lam(0) with
+# predicted mod p^check_exp (0: exactly); stage_s: perf_counter s per stage
+TotalMassReport = namedtuple("TotalMassReport", "label p kind total lam_zero"
+                             " ratio predicted check_exp ok stage_s")
 
 
 class VanishingLValue(ValueError):
@@ -99,7 +96,8 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
     """Compare mu(Z_p^*) / lam(0) with the interpolation prediction:
     (1 - 1/alpha)^2 at good ordinary p, 0 at split multiplicative p,
     2 at nonsplit multiplicative p."""
-    msym, mu, _ = _checked_measure(E, p, level, prec, {})
+    st = {}
+    msym, mu, _ = _checked_measure(E, p, level, prec, st)
     total = mu.mass(level)
     lam0 = msym.lam_zero()
     kind = reduction_type(E, p)
@@ -116,22 +114,14 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
         check_exp = 0
         ok = ratio == predicted
     return TotalMassReport(E.label, p, kind, total, lam0, ratio, predicted,
-                           check_exp, ok)
+                           check_exp, ok, st)
 
 
-@dataclass
-class ExceptionalZeroReport:
-    label: str
-    p: int
-    level: int
-    lam_zero: int
-    total_mass: int                # value of L_p at s = 0, exactly
-    moment1_ratio: PadicNumber     # L_p'(0) / lam(0)
-    l_inv: PadicNumber             # log(q_E) / ord(q_E)
-    bound_cert: int                # c with ord(mu) >= -c
-    match_exp: int                 # the two agree mod p^match_exp
-    ok: bool
-    stage_s: dict                  # perf_counter seconds per stage
+# total_mass = L_p(0), exactly; ok compares moment1_ratio = L_p'(0) / lam(0)
+# with l_inv = log(q_E)/ord(q_E) mod p^match_exp; c = bound_cert, ord(mu) >= -c
+ExceptionalZeroReport = namedtuple(
+    "ExceptionalZeroReport", "label p level lam_zero total_mass moment1_ratio"
+    " l_inv bound_cert match_exp ok stage_s")
 
 
 def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):

@@ -10,29 +10,27 @@ exact: log is not locally constant on valuation shells, so a plain
 ball-coefficient expansion would not represent it.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balls import Ball, MultBall
 from .padic import DEFAULT_PREC, from_rational, log_iwasawa, ord_p
+from .value import Value
 
 __all__ = ["EllSpec", "EllFunction", "phi0", "z_ell", "coboundary_check"]
 
 
-@dataclass(frozen=True)
-class EllSpec:
-    """A continuous homomorphism ell: Q_p^* -> R, kind 'ord' or 'log'."""
-    kind: str
-    p: int
-    prec: int = DEFAULT_PREC
-    zero: object = field(init=False, repr=False, compare=False)
+class EllSpec(Value):
+    """A continuous homomorphism ell: Q_p^* -> R, kind 'ord' or 'log'; zero
+    is ell's 0, an int or a p-adic zero, and not a field."""
+    _fields = ("kind", "p", "prec")
+    __slots__ = _fields + ("zero",)
 
-    def __post_init__(self):
-        assert self.kind in ("ord", "log")
-        if self.kind == "log":
-            assert self.p != 2, "log kind needs p odd"
-        object.__setattr__(self, "zero", 0 if self.kind == "ord"
-                           else from_rational(0, self.p, self.prec))
+    def __init__(self, kind, p, prec=DEFAULT_PREC):
+        assert kind in ("ord", "log")
+        if kind == "log":
+            assert p != 2, "log kind needs p odd"
+        self.kind, self.p, self.prec = kind, p, prec
+        self.zero = 0 if kind == "ord" else from_rational(0, p, prec)
 
     def __call__(self, x):
         """ell(x) of an int or Fraction x: an int for ord, p-adic for log."""

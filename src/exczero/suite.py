@@ -3,9 +3,8 @@ usable by the CLI and by CI.  Every randomized check takes an explicit seed."""
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from inspect import signature
 
 from .characters import (
     Quasicharacter, all_primitive_characters, character_from_log,
@@ -31,12 +30,7 @@ __all__ = ["CriterionResult", "run_suite", "ALL_CRITERIA"]
 E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    ok: bool
-    elapsed: float
-    details: dict = field(default_factory=dict)
+CriterionResult = namedtuple("CriterionResult", "name ok elapsed details")
 
 
 def _timed(name, fn):
@@ -361,8 +355,14 @@ ALL_CRITERIA = [
 ]
 
 
+def _parameters(fn):
+    """The names of fn's parameters: the first of its code's local names."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+
+
 def run_suite(seed=0, quick=False):
     """Every criterion at the given size, with the seed to those taking one."""
-    return [fn(quick=quick, **({"seed": seed} if "seed" in
-                               signature(fn).parameters else {}))
+    return [fn(quick=quick, **({"seed": seed} if "seed" in _parameters(fn)
+                               else {}))
             for _, fn in ALL_CRITERIA]

@@ -3,7 +3,7 @@ operators delta, delta*_+-, T and their weighted variants, cokernel
 membership, harmonic cocycles and boundary distributions, the maps
 delta_alpha into B_a, twisting, and the Steinberg Whittaker functional."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .balls import P1Piece
@@ -257,11 +257,10 @@ def a_param(alpha, q):
 
 # -- cokernel membership -----------------------------------------------------
 
-@dataclass
-class MembershipResult:
-    status: str  # 'member' | 'non-member' | 'inconclusive'
-    certificate: object = None
-    obstruction: object = None
+# status is 'member', 'non-member' or 'inconclusive'
+MembershipResult = namedtuple("MembershipResult",
+                              "status certificate obstruction",
+                              defaults=(None, None))
 
 
 def in_image_T_minus_a(phi, a, R, center=None):

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import exczero
 from exczero.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -129,6 +132,31 @@ def test_ezero_json_carries_stage_timings(capsys):
     assert all(isinstance(t, float) and t >= 0 for t in stages.values())
 
 
+@pytest.mark.parametrize("curve, p", [(CURVE11, "3"), (CURVE15, "5")],
+                         ids=["good", "split"])
+def test_interp_json_carries_stage_timings(curve, p, capsys):
+    code, out = run(["--format", "json", "interp", "--curve", curve,
+                     "--p", p, "--level", "2"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "PASS"
+    stages = rep["stage_s"]
+    assert set(stages) == {"symbol_space", "measure", "check"}
+    assert all(isinstance(t, float) and t >= 0 for t in stages.values())
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    # -S: no site, whose .pth files may import typing themselves
+    src = os.path.dirname(os.path.dirname(exczero.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, exczero.cli; print(sorted(m for m in sys.modules if m"
+         " in ('dataclasses', 'inspect', 'typing')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_ezero_rejects_nonsplit():
     with pytest.raises(SystemExit) as exc:
         main(["ezero", "--curve", CURVE15, "--p", "3", "--level", "2"])
@@ -159,11 +187,12 @@ def test_desk_caps():
 
 
 # 11a1's and 27a1's models with a conductor they cannot have, 3^60 past
-# the desk cap; test_bad_input_exits_2 writes each to a file under its name
+# the desk cap, and 27a1 itself, additive at 3 (the interp run below);
+# test_bad_input_exits_2 writes each to a file under its name
 BAD_CURVES = {f"11a1_N{N}.txt": f"11a1 {N} 0 -1 1 -10 -20\n"
               for N in (0, 1, 13, 22, 121)} | {
               f"27a1_N{N}.txt": f"27a1 {N} 0 0 1 0 -7\n"
-              for N in (1, 9, 3 ** 60)}
+              for N in (1, 9, 27, 3 ** 60)}
 
 BAD_INPUT = [
     ["gauss", "--p", "2"],
@@ -193,6 +222,9 @@ BAD_INPUT = [
     ["detcheck", "--kmax", "0"],
     ["detcheck", "--kmax", "5", "--mmax", "4"],
     ["detcheck", "--mmax", "7"],
+    # no measure at p = 2, nor at a supersingular p (27a1 at 5)
+    ["interp", "--curve", CURVE11, "--p", "2", "--level", "2"],
+    ["interp", "--curve", "27a1_N27.txt", "--p", "5", "--level", "2"],
 ] + [["interp", "--curve", name, "--p", "3", "--level", "2"]
      for name in BAD_CURVES]
 

@@ -41,8 +41,15 @@ def test_measure_values_are_ints():
 
 def test_measure_rejects_additive():
     E = EllipticCurve("27a1", 27, 0, 0, 1, 0, -7)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="additive"):
         mtt_measure(E, 3, 1)
+
+
+def test_measure_rejects_supersingular_and_two():
+    with pytest.raises(ValueError, match="supersingular"):
+        mtt_measure(EllipticCurve("27a1", 27, 0, 0, 1, 0, -7), 5, 1)
+    with pytest.raises(ValueError, match="odd p"):
+        mtt_measure(E11, 2, 1)
 
 
 def test_good_total_mass_interpolation():
