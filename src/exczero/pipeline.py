@@ -117,8 +117,8 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
                            check_exp, ok, st)
 
 
-# total_mass = L_p(0), exactly; ok compares moment1_ratio = L_p'(0) / lam(0)
-# with l_inv = log(q_E)/ord(q_E) mod p^match_exp; c = bound_cert, ord(mu) >= -c
+# ok: total_mass = L_p(0) is 0 and moment1_ratio = L_p'(0) / lam(0) equals
+# l_inv = log(q_E)/ord(q_E) mod p^match_exp; c = bound_cert: ord(mu) >= -c
 ExceptionalZeroReport = namedtuple(
     "ExceptionalZeroReport", "label p level lam_zero total_mass moment1_ratio"
     " l_inv bound_cert match_exp ok stage_s")
