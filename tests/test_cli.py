@@ -177,6 +177,21 @@ def test_gauss_line_stays_short(capsys):
     assert " tau_exact=Cyclotomic(level=" in out
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["gauss", "--p", "13", "--conductor-exp", "2"],
+     "PASS p=13 conductor_exp=2 tau_exact=Cyclotomic(level=2028, terms=144,"
+     " approx=12.6598288738+2.95444290637j) tau_float=12.659829+2.954443j"
+     " abs2=169.000000\n"),
+    (["local-integral", "--p", "5", "--alpha", "sqrt", "--char-f", "1"],
+     "PASS p=5 alpha=sqrt conductor_exp=1 value=-0.5257311121+0.8506508084j"
+     " target=-0.5257311121+0.8506508084j tail_bound=7.46e-43"
+     " err=4.00e-16\n"),
+])
+def test_output_line_is_pinned(argv, line, capsys):
+    # the exact value's repr and the float digits derived from it
+    assert run(argv, capsys) == (0, line)
+
+
 def test_desk_caps():
     for argv in (["interp", "--curve", CURVE11, "--p", "3", "--level", "6"],
                  ["linv", "--curve", CURVE11, "--p", "17"],

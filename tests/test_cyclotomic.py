@@ -4,8 +4,11 @@ float evaluation, not against stored outputs."""
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exczero.characters import (
     all_primitive_characters, character_from_log, gauss_sum, primitive_root,
@@ -135,3 +138,180 @@ def test_repr_summarizes_without_reduction():
     x = Cyclotomic(12, {0: 2, 1: -1, 5: 3})
     z = x.to_complex()
     assert repr(x) == f"Cyclotomic(level=12, terms=3, approx={z:.12g})"
+
+
+# -- an oracle: the Fraction histogram, reduced by an independent Phi_M ------
+
+LEVELS = [1, 3, 4, 5, 9, 12, 20, 84]
+
+
+def _ref_collect(pairs, level):
+    """{e mod level: sum of c}, in first-seen order, zeros dropped."""
+    h = {}
+    for e, c in pairs:
+        h[e % level] = h.get(e % level, 0) + Fraction(c)
+    return level, {e: c for e, c in h.items() if c}
+
+
+def _ref_raise(x, L):
+    level, h = x
+    return L, {e * (L // level): c for e, c in h.items()}
+
+
+def _ref_add(x, y):
+    L = lcm(x[0], y[0])
+    (_, a), (_, b) = _ref_raise(x, L), _ref_raise(y, L)
+    return _ref_collect([*a.items(), *b.items()], L)
+
+
+def _ref_neg(x):
+    return x[0], {e: -c for e, c in x[1].items()}
+
+
+def _ref_mul(x, y):
+    L = lcm(x[0], y[0])
+    (_, a), (_, b) = _ref_raise(x, L), _ref_raise(y, L)
+    return _ref_collect([(e + f, c * d) for e, c in a.items()
+                         for f, d in b.items()], L)
+
+
+def _ref_pow(x, k):
+    out = (1, {0: Fraction(1)})
+    for bit in bin(k)[2:]:
+        out = _ref_mul(out, out)
+        if bit == "1":
+            out = _ref_mul(out, x)
+    return out
+
+
+def _polydivmod(num, den):
+    """Quotient and remainder of integer polynomials (low to high), den monic."""
+    num, q = list(num), [0] * max(len(num) - len(den) + 1, 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1]
+        q[i] = c
+        for j, d in enumerate(den if c else ()):
+            num[i + j] -= c * d
+    return q, num[:len(den) - 1]
+
+
+@lru_cache(maxsize=None)
+def _ref_phi(M):
+    """Phi_M as x^M - 1 divided by Phi_d for every proper divisor d of M."""
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            poly, rest = _polydivmod(poly, _ref_phi(d))
+            assert not any(rest)
+    return tuple(poly)
+
+
+def _ref_reduced(x):
+    """The coefficients of x in the basis 1, z, ..., z^(phi(M)-1)."""
+    level, h = x
+    den = lcm(*(c.denominator for c in h.values()))
+    poly = [0] * level
+    for e, c in h.items():
+        poly[e] += c.numerator * (den // c.denominator)
+    phi = _ref_phi(level)
+    rest = _polydivmod(poly, phi)[1] if len(phi) > 1 else poly
+    return [Fraction(c, den) for c in rest]
+
+
+def _ref_is_zero(x):
+    return not any(_ref_reduced(x))
+
+
+def _ref_inverse(x):
+    """1/x by solving x y = 1 in the power basis, by Gauss-Jordan over
+    Fraction; None when x = 0."""
+    level, _ = x
+    d = len(_ref_phi(level)) - 1
+    cols = []   # column j: x z^j in the basis
+    for j in range(d):
+        cols.append(_ref_reduced(_ref_mul(x, (level, {j: Fraction(1)}))))
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(i == 0)]
+            for i in range(d)]
+    for k in range(d):
+        piv = next((i for i in range(k, d) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(d):
+            if i != k and rows[i][k]:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    return level, {j: rows[j][d] for j in range(d) if rows[j][d]}
+
+
+def _ref_repr(x):
+    level, h = x
+    if h.keys() <= {0}:
+        return f"Cyclotomic({h.get(0, 0)})"
+    w = 2j * cmath.pi / level
+    z = sum((float(c) * cmath.exp(w * e) for e, c in h.items()), 0j)
+    return f"Cyclotomic(level={level}, terms={len(h)}, approx={z:.12g})"
+
+
+def _as_cyc(x):
+    return Cyclotomic(*x)
+
+
+_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def _elements(draw):
+    level = draw(st.sampled_from(LEVELS))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2 * level), _coeffs),
+                          max_size=6))
+    return _ref_collect(pairs, level)
+
+
+def _check_same(got, want):
+    assert repr(got) == _ref_repr(want)
+    assert got.level == want[0]
+    w = 2j * cmath.pi / want[0]
+    z = sum((float(c) * cmath.exp(w * e) for e, c in want[1].items()), 0j)
+    assert got.to_complex() == z
+
+
+@given(_elements(), _elements(), _coeffs)
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_match_fraction_reference(x, y, r):
+    a, b = _as_cyc(x), _as_cyc(y)
+    _check_same(a, x)
+    _check_same(a + b, _ref_add(x, y))
+    _check_same(a - b, _ref_add(x, _ref_neg(y)))
+    _check_same(-a, _ref_neg(x))
+    _check_same(a * b, _ref_mul(x, y))
+    ref_r = (1, {0: r} if r else {})
+    _check_same(a + r, _ref_add(x, ref_r))
+    _check_same(r - a, _ref_add(_ref_neg(x), ref_r))
+    _check_same(a * r, _ref_mul(x, ref_r))
+    _check_same(r * a, _ref_mul(x, ref_r))
+    _check_same(a ** 3, _ref_pow(x, 3))
+    assert (a == b) == _ref_is_zero(_ref_add(x, _ref_neg(y)))
+    assert (a == r) == _ref_is_zero(_ref_add(x, _ref_neg(ref_r)))
+    red = _ref_reduced(x)
+    assert a.is_rational() == (not any(red[1:]))
+    if a.is_rational():
+        assert a.rational_value() == red[0]
+        assert type(a.rational_value()) is Fraction
+
+
+@given(_elements(), _elements(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_division_and_negative_powers_match_fraction_reference(x, y, k):
+    a, b = _as_cyc(x), _as_cyc(y)
+    inv = _ref_inverse(y)
+    if inv is None:
+        assert b == 0
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        return
+    want = _ref_mul(x, inv)
+    for got in (a / b, b ** -k * b ** (k - 1) * a):
+        assert got == _as_cyc(want)
+    assert abs((a / b).to_complex() - _as_cyc(want).to_complex()) <= FLOAT_TOL \
+        * (1 + abs(_as_cyc(want).to_complex()))

@@ -252,3 +252,48 @@ def test_unit_root_claimed_digits_are_correct(p, a_p, prec):
     assert alpha.abs_prec >= prec
     assert alpha.residue_mod(alpha.abs_prec) == _unit_root_mod(
         a_p, p, alpha.abs_prec)
+
+
+def _log_by_teichmuller(x, p=None, prec=20):
+    """log_iwasawa as it was computed before the (p-1)-st power: divide the
+    unit by its Teichmuller lift and sum the series on <x> = 1 + p s."""
+    if not isinstance(x, PadicNumber):
+        x = from_rational(x, p, prec)
+    if x.is_zero:
+        raise ValueError("log of zero")
+    p = x.p
+    n, m = x.prec, p ** x.prec
+    w = teichmuller(x.unit % p, p, n).unit
+    s = (x.unit * pow(w, -1, m) - 1) % m // p
+    total = Fraction(0)
+    k = 1
+    while k - _ilog(k, p) < n:
+        total += Fraction((-1) ** (k + 1) * p ** k * s ** k, k)
+        k += 1
+    val = total.numerator * pow(total.denominator, -1, m) % m
+    if val == 0:
+        return PadicNumber.zero(p, n)
+    return from_rational(val, p, n).truncate_abs(n)
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-3, 3),
+       st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 10 ** 6),
+       st.integers(1, 20), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_log_matches_teichmuller_reference(p, v, num, den, prec, padic):
+    # rationals and PadicNumbers, with and without p in num and den
+    x = Fraction(num, den) * Fraction(p) ** v
+    if padic:
+        x = from_rational(x, p, prec)
+    want = _log_by_teichmuller(x, p, prec)
+    got = log_iwasawa(x, p, prec)
+    assert repr(got) == repr(want)
+    assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+
+
+def test_log_of_zero_and_at_two_raise():
+    for x in (0, Fraction(0), PadicNumber.zero(5, 3)):
+        with pytest.raises(ValueError):
+            log_iwasawa(x, 5, 4)
+    with pytest.raises(NotImplementedError):
+        log_iwasawa(Fraction(3), 2, 4)
