@@ -168,7 +168,7 @@ def unit_psi_chi_integral(chi, a):
     mod p^k and chi(u) mod p^f.  For k <= m = max(f, 1) the mean runs over
     the units mod p^m, counted in integers by (u mod p^f, b u mod p^k); the
     result is built once, at the level L of zeta_(p^k) and of chi's values,
-    with one Fraction per distinct count."""
+    as the int histogram of those counts over the one den phi(p^m)."""
     p = chi.p
     pk, b = _psi_class(p, a)
     pf = p ** chi.f
@@ -181,16 +181,16 @@ def unit_psi_chi_integral(chi, a):
     keys = {key for key, _ in counts}
     values = {key: chi.value_at_unit(key) for key in keys}
     L = lcm(pk, *(v.level for v in values.values()))
+    den = lcm(*(v.den for v in values.values()))
     sums = {}
     for (key, e), n in counts.items():
         v = values[key]
-        step, vstep = L // pk, L // v.level
+        step, vstep, n = L // pk, L // v.level, n * (den // v.den)
         for ev, c in v.terms.items():
             x = (e * step + ev * vstep) % L
             sums[x] = sums.get(x, 0) + n * c
     units = pm - pm // p
-    means = {c: Fraction(c, units) for c in set(sums.values())}
-    return Cyclotomic._of(L, {x: means[c] for x, c in sums.items() if c})
+    return Cyclotomic._of(L, {x: c for x, c in sums.items() if c}, units * den)
 
 
 def gauss_sum(chi):

@@ -2,11 +2,13 @@
 
 Every local value at s = 1/2 -- characters, Gauss sums, Euler factors,
 L-factors, shell sums, also at alpha = sqrt(q), which lies in Q(zeta_4q) --
-is an element of some Q(zeta_M).  A value is kept as a histogram of rational
-coefficients over the exponents of zeta_M mod M: sums of roots of unity
-accumulate in it, products add exponents, a change of level scales them.
+is an element of some Q(zeta_M).  A value is kept as a histogram of integer
+coefficients over the exponents of zeta_M mod M, with one common
+denominator: sums of roots of unity accumulate in it, products add
+exponents and multiply denominators, a change of level scales exponents.
 Reduction mod Phi_M, which makes it unique, runs only for equality,
-rationality and hashing.
+rationality and inverses.  An inverse is taken in Q(zeta_(M/k)), k the gcd
+of M and the value's exponents.
 """
 
 import cmath
@@ -39,36 +41,39 @@ def cyclotomic_poly(M):
     return tuple(poly[:max(i for i, c in enumerate(poly) if c) + 1])
 
 
-def _collect(level, pairs):
-    """The histogram {e mod level: sum of c} of (exponent, coefficient) pairs."""
-    terms = {}
-    for e, c in pairs:
-        e %= level
-        terms[e] = terms.get(e, 0) + c
-    return {e: c for e, c in terms.items() if c}
-
-
 class Cyclotomic:
-    """Element sum_e c_e zeta_M^e of Q(zeta_M), kept as the histogram
-    ``terms = {e mod M: c_e}`` with rational c_e != 0."""
+    """Element (sum_e c_e zeta_M^e) / den of Q(zeta_M), kept as the histogram
+    ``terms = {e mod M: c_e}`` of ints c_e != 0 over one ``den >= 1``, in
+    lowest terms: gcd(den, c_e, ...) = 1."""
 
-    __slots__ = ("level", "terms")
+    __slots__ = ("level", "terms", "den")
 
     def __init__(self, level, coeffs):
-        """``coeffs``: a map exponent -> coefficient, or a sequence c_0, c_1, ..."""
+        """``coeffs``: a map exponent -> rational, or a sequence c_0, c_1, ..."""
         items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-        self.level = level
-        self.terms = _collect(level, ((e, Fraction(c)) for e, c in items))
+        items = [(e, Fraction(c)) for e, c in items]
+        den = lcm(*(c.denominator for _, c in items))
+        terms = {}
+        for e, c in items:
+            e %= level
+            terms[e] = terms.get(e, 0) + c.numerator * (den // c.denominator)
+        x = Cyclotomic._of(level, {e: c for e, c in terms.items() if c}, den)
+        self.level, self.terms, self.den = x.level, x.terms, x.den
 
     @classmethod
-    def _of(cls, level, terms):
+    def _of(cls, level, terms, den=1):
+        """(sum of the nonzero int terms) / den, in lowest terms."""
+        g = gcd(den, *terms.values())
+        if g > 1:
+            terms, den = {e: c // g for e, c in terms.items()}, den // g
         x = object.__new__(cls)
-        x.level, x.terms = level, terms
+        x.level, x.terms, x.den = level, terms, den
         return x
 
     @classmethod
     def from_rational(cls, x):
-        return cls._of(1, {0: Fraction(x)} if x else {})
+        x = Fraction(x)
+        return cls._of(1, {0: x.numerator} if x else {}, x.denominator)
 
     def raise_level(self, L):
         """Rewrite in Q(zeta_L) for a multiple L of the level (z -> z^(L/M))."""
@@ -76,7 +81,8 @@ class Cyclotomic:
         k = L // self.level
         if k == 1:
             return self
-        return Cyclotomic._of(L, {e * k: c for e, c in self.terms.items()})
+        return Cyclotomic._of(L, {e * k: c for e, c in self.terms.items()},
+                              self.den)
 
     def _match(self, other):
         if isinstance(other, (int, Fraction)):
@@ -86,13 +92,18 @@ class Cyclotomic:
 
     def __add__(self, other):
         a, b = self._match(other)
-        return Cyclotomic._of(a.level, _collect(
-            a.level, [*a.terms.items(), *b.terms.items()]))
+        L, den = a.level, lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        terms = {e: c * sa for e, c in a.terms.items()}
+        for e, c in b.terms.items():
+            terms[e] = terms.get(e, 0) + c * sb
+        return Cyclotomic._of(L, {e: c for e, c in terms.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._of(self.level, {e: -c for e, c in self.terms.items()})
+        return Cyclotomic._of(self.level, {e: -c for e, c in self.terms.items()},
+                              self.den)
 
     def __sub__(self, other):
         return self + -other
@@ -102,9 +113,13 @@ class Cyclotomic:
 
     def __mul__(self, other):
         a, b = self._match(other)
-        return Cyclotomic._of(a.level, _collect(
-            a.level, [(e + f, c * d) for e, c in a.terms.items()
-                      for f, d in b.terms.items()]))
+        L, terms = a.level, {}
+        for e, c in a.terms.items():
+            for f, d in b.terms.items():
+                x = (e + f) % L
+                terms[x] = terms.get(x, 0) + c * d
+        return Cyclotomic._of(L, {e: c for e, c in terms.items() if c},
+                              a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -128,44 +143,56 @@ class Cyclotomic:
 
     def inverse(self):
         """1/self.  A monomial c z^e inverts to z^(-e)/c; any other element
-        by its norm: 1/x = prod_{sigma != 1} sigma(x) / N(x)."""
+        by its norm, 1/x = prod_{sigma != 1} sigma(x) / N(x), taken in the
+        subfield Q(zeta_(M/k)) that x lies in, k = gcd(M, exponents)."""
         M = self.level
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return Cyclotomic._of(M, {-e % M: 1 / Fraction(c)})
+            inv = Fraction(self.den, c)
+            return Cyclotomic._of(M, {-e % M: inv.numerator}, inv.denominator)
+        k = gcd(M, *self.terms)
+        if k > 1:
+            x = Cyclotomic._of(M // k, {e // k: c for e, c in self.terms.items()},
+                               self.den)
+            return x.inverse().raise_level(M)._in_basis()
         others = Cyclotomic.from_rational(1)
         for a in range(2, M):   # sigma_a: zeta_M -> zeta_M^a
             if gcd(a, M) == 1:
                 # e -> a e is a bijection mod M: no two terms collide
-                conj = Cyclotomic._of(M, {a * e % M: c for e, c in self.terms.items()})
-                others = Cyclotomic._of(M, {
-                    e: c for e, c in enumerate((others * conj)._reduced()) if c})
+                conj = Cyclotomic._of(
+                    M, {a * e % M: c for e, c in self.terms.items()}, self.den)
+                others = (others * conj)._in_basis()
         # N(x) is rational, and zero exactly when x is: 1/N(x) then raises
         return others * (1 / (self * others).rational_value())
 
+    def _in_basis(self):
+        """self rewritten in the basis 1, z, ..., z^(phi(M)-1)."""
+        return Cyclotomic._of(self.level, {
+            e: c for e, c in enumerate(self._reduced()) if c}, self.den)
+
     def _reduced(self):
-        """The unique coefficients of self in the basis 1, z, ..., z^(phi(M)-1):
-        the histogram as a polynomial, reduced mod Phi_M in integers."""
+        """The unique coefficients of den * self in the basis 1, z, ...,
+        z^(phi(M)-1): the histogram as a polynomial, reduced mod Phi_M."""
         M = self.level
         phi = cyclotomic_poly(M)
         d = len(phi) - 1
-        den = lcm(*(c.denominator for c in self.terms.values()))
         poly = [0] * M
         for e, c in self.terms.items():
-            poly[e] = int(c * den)
+            poly[e] = c
         low = [(j, pj) for j, pj in enumerate(phi[:d]) if pj]
         for i in range(M - 1, d - 1, -1):   # z^i = z^i - z^(i-d) Phi_M(z)
             c = poly[i]
             if c:
                 for j, pj in low:
                     poly[i - d + j] -= c * pj
-        return [Fraction(c, den) for c in poly[:d]]
+        return poly[:d]
 
     def __eq__(self, other):
         if not isinstance(other, (int, Fraction, Cyclotomic)):
             return NotImplemented
         a, b = self._match(other)
-        return a.terms == b.terms or not any((a - b)._reduced())
+        return (a.terms == b.terms and a.den == b.den
+                or not any((a - b)._reduced()))
 
     # unhashable, as PadicNumber is: an equal value at another level has
     # other terms, and no caller needs a Cyclotomic as a key
@@ -177,18 +204,18 @@ class Cyclotomic:
     def rational_value(self):
         c = self._reduced()
         assert not any(c[1:])
-        return c[0]
+        return Fraction(c[0], self.den)
 
     def to_complex(self):
-        w = 2j * cmath.pi / self.level
-        return sum((float(c) * cmath.exp(w * e) for e, c in self.terms.items()), 0j)
+        w, den = 2j * cmath.pi / self.level, self.den
+        return sum((c / den * cmath.exp(w * e) for e, c in self.terms.items()), 0j)
 
     __complex__ = to_complex
 
     def __repr__(self):
         # a summary without reduction: the reduced form has phi(M) entries
         if self.terms.keys() <= {0}:
-            return f"Cyclotomic({self.terms.get(0, 0)})"
+            return f"Cyclotomic({Fraction(self.terms.get(0, 0), self.den)})"
         return (f"Cyclotomic(level={self.level}, terms={len(self.terms)}, "
                 f"approx={self.to_complex():.12g})")
 

@@ -95,9 +95,9 @@ def check_distribution_and_bound(mu):
             diff = level[a] - sum(finer[a::pn])
             if diff and (mu.modulus is None or ord_p(diff, p) < mu.modulus):
                 failures.append((n, a))
-    # only a value with p in its denominator has negative valuation
+    # only a value with p in its denominator has negative valuation; no int
     worst = max((-ord_p(v, p) for level in levels for v in level
-                 if v.denominator % p == 0), default=0)
+                 if type(v) is not int and v.denominator % p == 0), default=0)
     mu.report = DistributionReport(not failures, worst, failures)
     return mu.report
 

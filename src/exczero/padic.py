@@ -21,17 +21,18 @@ def ord_p(x, p):
     numerator and denominator); None for zero."""
     if isinstance(x, PadicNumber):
         return x.val
-    num, den = x.numerator, x.denominator
-    if num == 0:
+    if x.numerator == 0:
         return None
+    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
+
+
+def _split(n, p):
+    """(v, n / p^v) for the largest power p^v dividing the nonzero int n."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return v, n
 
 
 class PadicNumber:
@@ -123,10 +124,7 @@ class PadicNumber:
              other.unit * p ** (other.val - v)) % p ** m
         if s == 0:
             return PadicNumber.zero(p, ap)
-        w = 0
-        while s % p == 0:
-            s //= p
-            w += 1
+        w, s = _split(s, p)
         return PadicNumber(p, v + w, s, m - w)
 
     __radd__ = __add__
@@ -226,10 +224,7 @@ def _log_coeffs(p, abs_prec):
     m = p ** abs_prec
     coeffs = []
     for k in range(1, kmax + 1):
-        e, kk = 0, k
-        while kk % p == 0:
-            kk //= p
-            e += 1
+        e, kk = _split(k, p)
         b = p ** (k - e) * pow(kk, -1, m) % m
         coeffs.append(b if k % 2 else -b)
     return tuple(reversed(coeffs))
@@ -245,27 +240,30 @@ def _intlog(n, p):
 def log_iwasawa(x, p=None, prec=DEFAULT_PREC):
     """Iwasawa logarithm: log_p with log_p(p) = 0 (and log_p(torsion) = 0).
 
-    Accepts a PadicNumber, or a rational together with p.  Writes
-    x = p^v * w(x) * <x> with <x> = 1 + p s, and returns log(1 + p s) as
-    a polynomial in s (see _log_coeffs).
+    Accepts a PadicNumber, or a rational together with p.  With u the unit
+    part of x, known mod p^n, log<x> = log(u^(p-1)) / (p-1) as w(u)^(p-1) = 1,
+    and log(u^(p-1)) = log(1 + p s) is a polynomial in s (see _log_coeffs).
     """
-    if not isinstance(x, PadicNumber):
+    if isinstance(x, PadicNumber):
+        p, n, u = x.p, x.prec, x.unit
+    else:   # the unit part of a nonzero rational, in ints
         assert p is not None
-        x = from_rational(x, p, prec)
-    if x.is_zero:
+        n, u = prec, x and (_split(x.numerator, p)[1]
+                            * pow(_split(x.denominator, p)[1], -1, p ** prec))
+    if not u:
         raise ValueError("log of zero")
-    p = x.p
     if p == 2:
         raise NotImplementedError("p = 2 excluded from the logarithm pipeline")
-    n, m = x.prec, p ** x.prec
-    w = teichmuller(x.unit % p, p, n).unit
-    s = (x.unit * pow(w, -1, m) - 1) % m // p
+    m = p ** n
+    s = (pow(u, p - 1, m) - 1) // p
     val = 0
     for b in _log_coeffs(p, n):
         val = (val + b) * s % m
+    val = val * pow(p - 1, -1, m) % m
     if val == 0:
         return PadicNumber.zero(p, n)
-    return from_rational(val, p, n).truncate_abs(n)
+    v, val = _split(val, p)
+    return PadicNumber(p, v, val, n - v)
 
 
 def exp_p(x):
@@ -290,11 +288,7 @@ def exp_p(x):
     for k in range(1, kmax + 1):
         tk = tk * t % m
         fact *= k
-        e = 0
-        f = fact
-        while f % p == 0:
-            f //= p
-            e += 1
+        e, f = _split(fact, p)
         term = tk * pow(f % m, -1, m) % m
         assert term % p ** e == 0
         total = (total + term // p ** e) % m

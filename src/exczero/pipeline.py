@@ -16,6 +16,20 @@ __all__ = ["mtt_measure", "total_mass_report", "exceptional_zero_report",
            "TotalMassReport", "ExceptionalZeroReport", "VanishingLValue"]
 
 
+def _measure_prime(E, p):
+    """E's reduction type at p and a_p (+-1 at a multiplicative p), or
+    ValueError where no measure exists: p = 2, additive or supersingular."""
+    if p == 2:
+        raise ValueError("the measure needs an odd p")
+    kind = reduction_type(E, p)
+    if kind == "additive":
+        raise ValueError(f"additive reduction at {p}")
+    a = ap(E, p)
+    if a % p == 0:
+        raise ValueError(f"supersingular prime {p}")
+    return kind, a
+
+
 def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     """The p-adic measure on Z_p^* built from the curve's plus eigensymbol.
 
@@ -26,19 +40,12 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
     for the plus eigensymbol), so each level mirrors its lower half."""
     assert level >= 1
-    if p == 2:
-        raise ValueError("the measure needs an odd p")
-    kind = reduction_type(E, p)
-    if kind == "additive":
-        raise ValueError(f"additive reduction at {p}")
+    kind, a = _measure_prime(E, p)
     if msym is None:
         msym = ModularSymbolSpace(E)
     lam, levels = msym.lam_ratio, [[0]]
     # the eigensymbol is star-invariant by construction, so lam(-r) = lam(r)
     if kind == "good":
-        a = ap(E, p)
-        if a % p == 0:
-            raise ValueError(f"supersingular prime {p}")
         mod = p ** prec
         ainv = int(unit_root(a, p, prec).inverse().unit_mod(prec))
         # prev[y] = lam(y/p^(n-1)) from the level below; lam has period
@@ -53,7 +60,6 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
             raw += raw[:0:-1]
             levels.append(vals + vals[:0:-1])
         return BallMeasure(p, levels, modulus=prec)
-    a = 1 if kind == "split" else -1
     for n in range(1, level + 1):
         pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
         half = [sign * lam(x, pn) if x % p else 0
@@ -83,6 +89,7 @@ def _timed(stage_s, stage, fn, *args):
 def _checked_measure(E, p, level, prec, stage_s):
     """E's symbol space and its measure at p, distribution-checked, for a
     report that divides by lam(0); stage_s gets the time of each stage."""
+    _measure_prime(E, p)   # rejects p before the space is built
     msym = _timed(stage_s, "symbol_space", ModularSymbolSpace, E)
     if msym.lam_zero() == 0:
         raise VanishingLValue(f"lam(0) = 0 for {E.label}: L(E, 1) vanishes")

@@ -256,6 +256,25 @@ def test_bad_input_exits_2(argv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("curve, p", [("11a1.txt", "2"), ("27a1.txt", "3"),
+                                      ("27a1.txt", "5")],
+                         ids=["two", "additive", "supersingular"])
+def test_interp_rejects_p_before_building_the_space(curve, p, tmp_path,
+                                                     monkeypatch):
+    from exczero import pipeline
+    built = []
+
+    def space(E):
+        built.append(E)
+        raise AssertionError("the symbol space was built")
+    monkeypatch.setattr(pipeline, "ModularSymbolSpace", space)
+    path = CURVE11 if curve == "11a1.txt" else tmp_path / curve
+    (tmp_path / "27a1.txt").write_text("27a1 27 0 0 1 0 -7\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["interp", "--curve", str(path), "--p", p, "--level", "2"])
+    assert exc.value.code == 2 and built == []
+
+
 @pytest.mark.parametrize("command", ["tree-rep", "steinberg"])
 @pytest.mark.parametrize("p", ["2", "3"])
 def test_identity_suites_pass_and_follow_the_seed(command, p, capsys):

@@ -5,13 +5,14 @@ import cmath
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exczero.characters import (
     all_primitive_characters, character_from_log, gauss_sum, primitive_root,
+    sqrt_q,
 )
 from exczero.cyclotomic import Cyclotomic, zeta
 
@@ -315,3 +316,32 @@ def test_division_and_negative_powers_match_fraction_reference(x, y, k):
         assert got == _as_cyc(want)
     assert abs((a / b).to_complex() - _as_cyc(want).to_complex()) <= FLOAT_TOL \
         * (1 + abs(_as_cyc(want).to_complex()))
+
+
+@given(st.sampled_from([(9, 3), (12, 2), (20, 2), (20, 4), (84, 3), (84, 4),
+                        (84, 12), (84, 1)]),
+       st.lists(st.tuples(st.integers(0, 90), _coeffs), min_size=1,
+                max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_inverse_in_a_subfield_is_the_full_level_inverse(mk, pairs):
+    # x lies in Q(zeta_(M/k)); its inverse, taken there, is written back in
+    # the power basis at level M, as the full-level solve gives it
+    M, k = mk
+    x = _ref_collect([(e * k, c) for e, c in pairs], M)
+    a, inv = _as_cyc(x), _ref_inverse(x)
+    if inv is None:
+        assert a == 0
+        return
+    got = a.inverse()
+    assert a * got == 1 and got * a == 1
+    assert got == _as_cyc(inv)
+    if len(x[1]) > 1:
+        assert repr(got) == _ref_repr(inv)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_sqrt_q_inverse(q):
+    s = sqrt_q(q)
+    assert gcd(s.level, *s.terms) > 1   # it lies in a proper subfield
+    assert s * s.inverse() == 1
+    assert s.inverse() ** 2 == Fraction(1, q)
