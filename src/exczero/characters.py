@@ -168,7 +168,8 @@ def unit_psi_chi_integral(chi, a):
     mod p^k and chi(u) mod p^f.  For k <= m = max(f, 1) the mean runs over
     the units mod p^m, counted in integers by (u mod p^f, b u mod p^k); the
     result is built once, at the level L of zeta_(p^k) and of chi's values,
-    as the int histogram of those counts over the one den phi(p^m)."""
+    as an int histogram of those counts over one denominator: phi(p^m) for
+    values that are roots of unity."""
     p = chi.p
     pk, b = _psi_class(p, a)
     pf = p ** chi.f
@@ -190,7 +191,7 @@ def unit_psi_chi_integral(chi, a):
             x = (e * step + ev * vstep) % L
             sums[x] = sums.get(x, 0) + n * c
     units = pm - pm // p
-    return Cyclotomic._of(L, {x: c for x, c in sums.items() if c}, units * den)
+    return Cyclotomic._of(L, sums, units * den)
 
 
 def gauss_sum(chi):

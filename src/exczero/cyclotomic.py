@@ -51,21 +51,19 @@ class Cyclotomic:
     def __init__(self, level, coeffs):
         """``coeffs``: a map exponent -> rational, or a sequence c_0, c_1, ..."""
         items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-        items = [(e, Fraction(c)) for e, c in items]
-        den = lcm(*(c.denominator for _, c in items))
         terms = {}
         for e, c in items:
-            e %= level
-            terms[e] = terms.get(e, 0) + c.numerator * (den // c.denominator)
-        x = Cyclotomic._of(level, {e: c for e, c in terms.items() if c}, den)
+            terms[e % level] = terms.get(e % level, 0) + Fraction(c)
+        den = lcm(*(c.denominator for c in terms.values()))
+        x = Cyclotomic._of(level, {e: int(c * den) for e, c in terms.items()}, den)
         self.level, self.terms, self.den = x.level, x.terms, x.den
 
     @classmethod
     def _of(cls, level, terms, den=1):
-        """(sum of the nonzero int terms) / den, in lowest terms."""
+        """(the int histogram terms) / den, in lowest terms, zeros dropped."""
         g = gcd(den, *terms.values())
-        if g > 1:
-            terms, den = {e: c // g for e, c in terms.items()}, den // g
+        if g > 1 or 0 in terms.values():
+            terms, den = {e: c // g for e, c in terms.items() if c}, den // g
         x = object.__new__(cls)
         x.level, x.terms, x.den = level, terms, den
         return x
@@ -92,12 +90,12 @@ class Cyclotomic:
 
     def __add__(self, other):
         a, b = self._match(other)
-        L, den = a.level, lcm(a.den, b.den)
+        den = lcm(a.den, b.den)
         sa, sb = den // a.den, den // b.den
         terms = {e: c * sa for e, c in a.terms.items()}
         for e, c in b.terms.items():
             terms[e] = terms.get(e, 0) + c * sb
-        return Cyclotomic._of(L, {e: c for e, c in terms.items() if c}, den)
+        return Cyclotomic._of(a.level, terms, den)
 
     __radd__ = __add__
 
@@ -118,8 +116,7 @@ class Cyclotomic:
             for f, d in b.terms.items():
                 x = (e + f) % L
                 terms[x] = terms.get(x, 0) + c * d
-        return Cyclotomic._of(L, {e: c for e, c in terms.items() if c},
-                              a.den * b.den)
+        return Cyclotomic._of(L, terms, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -142,33 +139,31 @@ class Cyclotomic:
         return out
 
     def inverse(self):
-        """1/self.  A monomial c z^e inverts to z^(-e)/c; any other element
-        by its norm, 1/x = prod_{sigma != 1} sigma(x) / N(x), taken in the
-        subfield Q(zeta_(M/k)) that x lies in, k = gcd(M, exponents)."""
+        """1/self: z^(-e)/c for a monomial c z^e, else prod_{sigma != 1}
+        sigma(x) / N(x), taken in Q(zeta_L) for L = M / gcd(M, exponents)
+        and written back in the power basis at level M."""
         M = self.level
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
             inv = Fraction(self.den, c)
             return Cyclotomic._of(M, {-e % M: inv.numerator}, inv.denominator)
         k = gcd(M, *self.terms)
-        if k > 1:
-            x = Cyclotomic._of(M // k, {e // k: c for e, c in self.terms.items()},
-                               self.den)
-            return x.inverse().raise_level(M)._in_basis()
+        L = M // k
+        x = Cyclotomic._of(L, {e // k: c for e, c in self.terms.items()}, self.den)
         others = Cyclotomic.from_rational(1)
-        for a in range(2, M):   # sigma_a: zeta_M -> zeta_M^a
-            if gcd(a, M) == 1:
-                # e -> a e is a bijection mod M: no two terms collide
+        for a in range(2, L):   # sigma_a: zeta_L -> zeta_L^a
+            if gcd(a, L) == 1:
+                # e -> a e is a bijection mod L: no two terms collide
                 conj = Cyclotomic._of(
-                    M, {a * e % M: c for e, c in self.terms.items()}, self.den)
+                    L, {a * e % L: c for e, c in x.terms.items()}, x.den)
                 others = (others * conj)._in_basis()
         # N(x) is rational, and zero exactly when x is: 1/N(x) then raises
-        return others * (1 / (self * others).rational_value())
+        inv = others * (1 / (x * others).rational_value())
+        return inv.raise_level(M)._in_basis()
 
     def _in_basis(self):
         """self rewritten in the basis 1, z, ..., z^(phi(M)-1)."""
-        return Cyclotomic._of(self.level, {
-            e: c for e, c in enumerate(self._reduced()) if c}, self.den)
+        return Cyclotomic._of(self.level, dict(enumerate(self._reduced())), self.den)
 
     def _reduced(self):
         """The unique coefficients of den * self in the basis 1, z, ...,

@@ -21,9 +21,17 @@ def ord_p(x, p):
     numerator and denominator); None for zero."""
     if isinstance(x, PadicNumber):
         return x.val
-    if x.numerator == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return None
-    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def _split(n, p):
@@ -186,11 +194,8 @@ def from_rational(x, p, prec):
     x = Fraction(x)
     if x == 0:
         return PadicNumber.zero(p, prec)
-    v = ord_p(x, p)
-    u = x / Fraction(p) ** v
-    num, den = u.numerator, u.denominator
-    unit = num * pow(den, -1, p ** prec) % p ** prec
-    return PadicNumber(p, v, unit, prec)
+    (a, num), (b, den) = _split(x.numerator, p), _split(x.denominator, p)
+    return PadicNumber(p, a - b, num * pow(den, -1, p ** prec), prec)
 
 
 def teichmuller(a, p, prec):

@@ -17,8 +17,7 @@ __all__ = ["mtt_measure", "total_mass_report", "exceptional_zero_report",
 
 
 def _measure_prime(E, p):
-    """E's reduction type at p and a_p (+-1 at a multiplicative p), or
-    ValueError where no measure exists: p = 2, additive or supersingular."""
+    """E's reduction type and a_p at p, or ValueError where no measure exists."""
     if p == 2:
         raise ValueError("the measure needs an odd p")
     kind = reduction_type(E, p)

@@ -142,6 +142,9 @@ def test_repr_summarizes_without_reduction():
 
 
 # -- an oracle: the Fraction histogram, reduced by an independent Phi_M ------
+# A reference value is a pair (level, {exponent: nonzero Fraction}), built in
+# the order the exponents first occur, so its float sum is the one the
+# repr of the same histogram prints.
 
 LEVELS = [1, 3, 4, 5, 9, 12, 20, 84]
 
