@@ -132,7 +132,7 @@ class PadicNumber:
              other.unit * p ** (other.val - v)) % p ** m
         if s == 0:
             return PadicNumber.zero(p, ap)
-        w, s = _split(s, p)
+        w, s = _split(s, p) if s % p == 0 else (0, s)
         return PadicNumber(p, v + w, s, m - w)
 
     __radd__ = __add__
