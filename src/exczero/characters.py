@@ -43,18 +43,12 @@ def _psi_class(p, x):
 
 
 def primitive_root(p, f):
-    """A generator of (Z/p^f)^* for odd p."""
+    """The least generator of (Z/p^f)^* for odd p: a generator mod p^2 (mod
+    p for f = 1) generates mod every power of p."""
     assert p % 2 == 1 and f >= 1
-    q = p ** f
-    order = q - q // p
-    # any g that is primitive mod p^2 is primitive mod all powers
-    for g in range(2, p ** min(f, 2) + 1):
-        if g % p == 0:
-            continue
-        if _mult_order(g, p) == p - 1 and (f == 1 or _mult_order(g, p * p) == p * (p - 1)):
-            assert pow(g, order, q) == 1
-            return g
-    raise AssertionError("no primitive root found")
+    m = p ** min(f, 2)
+    return next(g for g in range(2, m)
+                if g % p and _mult_order(g, m) == m - m // p)
 
 
 def _mult_order(g, m):
@@ -75,19 +69,18 @@ class Quasicharacter:
     def __init__(self, p, t, f, unit_table=None):
         self.p = p
         self.t = as_cyclotomic(t)
-        table = dict(unit_table or {})
-        f, table = _primitivize(p, f, table)
-        self.f = f
-        self.unit_table = table
+        self.f, self.unit_table = _primitivize(p, f, dict(unit_table or {}))
+        self.unit_integrals = {}   # kept by unit_psi_chi_integral
 
     def value_at_unit(self, u):
         """chi(u) for a p-adic unit u (rational, prime-to-p denominator)."""
         if self.f == 0:
             return Cyclotomic.from_rational(1)
         m = self.p ** self.f
-        u = Fraction(u)
-        r = u.numerator * pow(u.denominator, -1, m) % m
-        return self.unit_table[r]
+        if not isinstance(u, int):
+            u = Fraction(u)
+            u = u.numerator * pow(u.denominator, -1, m)
+        return self.unit_table[u % m]
 
     def __call__(self, x):
         x = Fraction(x)
@@ -109,18 +102,14 @@ class Quasicharacter:
 def _primitivize(p, f, table):
     """Drop the conductor exponent while the table factors through a lower level."""
     while f >= 1:
-        if f == 1:
-            if all(v == 1 for v in table.values()):
-                return 0, {}
-            return f, table
         lower = p ** (f - 1)
-        grouped = {}
+        first = {}
         for u, v in table.items():
-            grouped.setdefault(u % lower, []).append(v)
-        if any(any(not (v == vs[0]) for v in vs[1:]) for vs in grouped.values()):
+            first.setdefault(u % lower, v)
+        if any(v != first[u % lower] for u, v in table.items()):
             return f, table
-        table = {u: vs[0] for u, vs in grouped.items()}
-        f -= 1
+        # at f = 1 every value is chi(1) = 1: chi is unramified
+        table, f = first if f > 1 else {}, f - 1
     return f, table
 
 
@@ -135,25 +124,18 @@ def character_from_log(p, f, k, t=1):
     q = p ** f
     phi = q - q // p
     g = primitive_root(p, f)
-    table = {}
-    x = 1
-    for j in range(phi):
-        table[x] = zeta(phi, (k * j) % phi)
-        x = x * g % q
+    table = {pow(g, j, q): zeta(phi, k * j % phi) for j in range(phi)}
     return Quasicharacter(p, t, f, table)
 
 
 def all_primitive_characters(p, f, t=1):
-    """All characters of conductor exactly p^f (odd p)."""
+    """All characters of conductor exactly p^f (odd p): those with p ∤ k for
+    f >= 2, as g^(phi/p) generates 1 + p^(f-1) Z_p, and k != 0 for f = 1."""
     assert f >= 1
     q = p ** f
     phi = q - q // p
-    out = []
-    for k in range(phi):
-        chi = character_from_log(p, f, k, t)
-        if chi.f == f:
-            out.append(chi)
-    return out
+    return [character_from_log(p, f, k, t) for k in range(phi)
+            if (k % p if f >= 2 else k)]
 
 
 def legendre_character(p, t=1):
@@ -169,9 +151,12 @@ def unit_psi_chi_integral(chi, a):
     the units mod p^m, counted in integers by (u mod p^f, b u mod p^k); the
     result is built once, at the level L of zeta_(p^k) and of chi's values,
     as an int histogram of those counts over one denominator: phi(p^m) for
-    values that are roots of unity."""
+    values that are roots of unity.  It is kept on chi by the psi class of
+    a, so each class is counted once per character."""
     p = chi.p
-    pk, b = _psi_class(p, a)
+    pk, b = psi_class = _psi_class(p, a)
+    if psi_class in chi.unit_integrals:
+        return chi.unit_integrals[psi_class]
     pf = p ** chi.f
     pm = max(pf, p)
     if pk > pm:
@@ -179,8 +164,7 @@ def unit_psi_chi_integral(chi, a):
         # p-th root of unity, so the mean is 0
         return Cyclotomic.from_rational(0)
     counts = Counter((u % pf, b * u % pk) for u in range(1, pm) if u % p)
-    keys = {key for key, _ in counts}
-    values = {key: chi.value_at_unit(key) for key in keys}
+    values = {key: chi.value_at_unit(key) for key, _ in counts}
     L = lcm(pk, *(v.level for v in values.values()))
     den = lcm(*(v.den for v in values.values()))
     sums = {}
@@ -191,7 +175,8 @@ def unit_psi_chi_integral(chi, a):
             x = (e * step + ev * vstep) % L
             sums[x] = sums.get(x, 0) + n * c
     units = pm - pm // p
-    return Cyclotomic._of(L, sums, units * den)
+    x = chi.unit_integrals[psi_class] = Cyclotomic._of(L, sums, units * den)
+    return x
 
 
 def gauss_sum(chi):

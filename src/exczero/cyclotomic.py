@@ -6,7 +6,7 @@ is an element of some Q(zeta_M).  A value is kept as a histogram of integer
 coefficients over the exponents of zeta_M mod M, with one common
 denominator: sums of roots of unity accumulate in it, products add
 exponents and multiply denominators, a change of level scales exponents.
-Reduction mod Phi_M, which makes it unique, runs only for equality,
+Reduction mod Phi_M, which makes it unique, runs only for equality, truth,
 rationality and inverses.  An inverse is taken in Q(zeta_(M/k)), k the gcd
 of M and the value's exponents.
 """
@@ -70,8 +70,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x):
-        x = Fraction(x)
-        return cls._of(1, {0: x.numerator} if x else {}, x.denominator)
+        n, d = x.as_integer_ratio()   # no Fraction made for an int
+        return cls._of(1, {0: n} if n else {}, d)
 
     def raise_level(self, L):
         """Rewrite in Q(zeta_L) for a multiple L of the level (z -> z^(L/M))."""
@@ -83,7 +83,9 @@ class Cyclotomic:
                               self.den)
 
     def _match(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyclotomic:
+            if not isinstance(other, (int, Fraction)):
+                raise TypeError(f"not a rational or Cyclotomic: {other!r}")
             other = Cyclotomic.from_rational(other)
         L = lcm(self.level, other.level)
         return self.raise_level(L), other.raise_level(L)
@@ -123,7 +125,7 @@ class Cyclotomic:
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
-        return self * (1 / Fraction(other))
+        return self * Fraction(1, other)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -131,8 +133,8 @@ class Cyclotomic:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** -k
-        out = Cyclotomic.from_rational(1)
-        for bit in bin(k)[2:]:   # square and multiply, from the top bit
+        out = self if k else Cyclotomic.from_rational(1)
+        for bit in bin(k)[3:]:   # square and multiply, below the top bit
             out = out * out
             if bit == "1":
                 out = out * self
@@ -183,11 +185,15 @@ class Cyclotomic:
         return poly[:d]
 
     def __eq__(self, other):
-        if not isinstance(other, (int, Fraction, Cyclotomic)):
+        if not isinstance(other, (Cyclotomic, int, Fraction)):
             return NotImplemented
         a, b = self._match(other)
         return (a.terms == b.terms and a.den == b.den
                 or not any((a - b)._reduced()))
+
+    def __bool__(self):
+        """False exactly for 0: every reduced coefficient vanishes."""
+        return any(self._reduced())
 
     # unhashable, as PadicNumber is: an equal value at another level has
     # other terms, and no caller needs a Cyclotomic as a key

@@ -67,35 +67,39 @@ MellinResult = namedtuple("MellinResult", "value tail_bound n_min n_max")
 
 
 def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
-    """Truncated shell sum for int chi d mu_alpha with dx = (1-1/q)|x| d*x,
-    in exact cyclotomic arithmetic or, with exact=False, as a complex float
-    sum over the exact unit integrals.
-
-    Shells below -(f+2) vanish exactly (the shifted unit integrals are zero
-    there, tested separately); the positive tail is geometric with ratio
-    |chi(p) alpha| / q < 1, and the reported bound covers it."""
+    """Truncated shell sum for int chi d mu_alpha with dx = (1-1/q)|x| d*x:
+    (1 - 1/q) sum u_n s^n over n_min = -(f+2) <= n <= n_max, s = chi(p)
+    alpha / q, u_n the unit integral at a = p^n (zero below n_min, tested
+    separately; u_n = u_0 for n >= 0, as psi is trivial on Z_p).  Exactly,
+    it is u_n s^n for each n < 0 with u_n != 0 (n = -f for ramified chi),
+    plus u_0 (1 + s + ... + s^n_max), by Horner on s, if u_0 != 0: one
+    product at u_n's level per nonzero shell.  With exact=False it is a
+    complex float sum over the exact u_n.  The tail n > n_max is geometric
+    with ratio |s| < 1, and the reported bound covers it."""
+    assert n_max >= 0, "every shell n >= 0 up to n_max is summed"
     q = chi.p
     r = (abs(complex(chi.t)) * abs(complex(alpha))) / q
     if r >= 1:
         raise ValueError("divergent: |chi(p) alpha| >= q")
     n_min = -(chi.f + 2)
     scale = Fraction(q - 1, q)
-    # psi is trivial on Z_p, so every shell with n >= 0 has the unit
-    # integral at a = 1; each shell below 0 has its own
     units = [unit_psi_chi_integral(chi, Fraction(q) ** n)
              for n in range(n_min, 1)]
-    if not exact:
-        units = [complex(u) for u in units]
-    shells = [(n, units[min(n, 0) - n_min]) for n in range(n_min, n_max + 1)]
     if exact:
-        step = chi.t * alpha * Fraction(1, q)   # the shell factor's ratio
-        factor, total = step ** n_min * scale, Cyclotomic.from_rational(0)
-        for _, unit in shells:
-            total, factor = total + unit * factor, factor * step
+        s = chi.t * alpha * Fraction(1, q)
+        total, geometric = Cyclotomic.from_rational(0), scale
+        for n, unit in zip(range(n_min, 0), units):
+            if unit:
+                total = total + unit * (scale * s ** n)
+        if units[-1]:
+            for _ in range(n_max):
+                geometric = scale + s * geometric
+            total = total + units[-1] * geometric
     else:
         # the shell factor (chi(p) alpha / q)^n as a complex float
-        ratio = complex(chi.t * alpha) / q
-        total = float(scale) * sum(ratio ** n * unit for n, unit in shells)
+        ratio, units = complex(chi.t * alpha) / q, [complex(u) for u in units]
+        total = float(scale) * sum(ratio ** n * units[min(n, 0) - n_min]
+                                   for n in range(n_min, n_max + 1))
     tail = float(scale) * r ** (n_max + 1) / (1 - r)
     return MellinResult(total, tail, n_min, n_max)
 

@@ -157,12 +157,10 @@ class ModularSymbolSpace:
         if base < 0:
             ints = [-v for v in ints]
         self.lam_sym = ints
-        # lam_sym by bottom row (c mod N, d mod N), at c * N + d, and by
-        # (c, -d) for the convergents of odd index
+        # lam_sym by bottom row (c mod N, d mod N), at c * N + d; it also
+        # serves (c, -d), as x(c, -d) = x(-c, d) = x(c, d) in the quotient
         self._lam_by_row = [None if i is None else ints[i]
                             for i in self.p1.flat]
-        self._lam_by_row_neg = [self._lam_by_row[c * self.N + -d % self.N]
-                                for c in range(self.N) for d in range(self.N)]
 
     # -- evaluation ------------------------------------------------------------
 
@@ -176,21 +174,22 @@ class ModularSymbolSpace:
         matrices whose translates of the path from 0 to infinity chain from
         infinity to n/d.  Their bottom rows (q_k, (-1)^k q_(k-1)) are the
         convergent denominators, by Euclid on n and d; only q_k mod N is
-        kept, and the loop takes the steps of odd and even k in turn."""
-        N, plus, minus = self.N, self._lam_by_row, self._lam_by_row_neg
+        kept, the sign of the second entry drops out (see _lam_by_row), and
+        the loop takes the steps of odd and even k in turn."""
+        N, row = self.N, self._lam_by_row
         # k = 0: the bottom row (q_0, q_-1) is (1, 0) whatever the first
         # quotient, so lam has period one
         n %= d
-        total, q_even, q_odd = plus[N], 1, 0
+        total, q_even, q_odd = row[N], 1, 0
         while n:
             a, d = divmod(d, n)
             q_odd = (a * q_even + q_odd) % N
-            total += minus[q_odd * N + q_even]
+            total += row[q_odd * N + q_even]
             if not d:
                 return total
             a, n = divmod(n, d)
             q_even = (a * q_odd + q_even) % N
-            total += plus[q_even * N + q_odd]
+            total += row[q_even * N + q_odd]
         return total
 
     def lam_zero(self):

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from exczero.characters import (
     AdditiveCharacterPsi, Quasicharacter, all_primitive_characters,
-    euler_factor, gauss_sum, legendre_character, local_L,
+    character_from_log, euler_factor, gauss_sum, legendre_character, local_L,
     mellin_closed_form, sqrt_q, trivial_character,
 )
 from exczero.cyclotomic import Cyclotomic, zeta
-from exczero.localdist import mellin_mu_alpha, unit_psi_chi_integral
+from exczero.localdist import (
+    mellin_mu_alpha, mellin_target, unit_psi_chi_integral,
+)
 from exczero.padic import ord_p
 
 
@@ -200,3 +202,79 @@ def test_float_shell_sum_matches_exact(p, f, i):
         approx = mellin_mu_alpha(chi, alpha, n_max=8, exact=False)
         assert abs(approx.value - exact.value.to_complex()) <= 1e-12
         assert approx.tail_bound == exact.tail_bound
+
+
+# -- the sparse exact shell sum and the kept unit integrals -------------------
+
+SHELL_CASES = {
+    **{f"mod{p ** f}": (p, f) for p, f in
+       ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2))},
+    **{f"trivial{p}": (p, 0) for p in (3, 5, 7)},
+}
+
+
+def _shell_characters(p, f):
+    """Every primitive character mod p^f (t = 1), or for f = 0 the trivial
+    character at t in {1, 2, -1/2}, with a recipe for a fresh copy."""
+    if f == 0:
+        return [(trivial_character(p, t), lambda t=t: trivial_character(p, t))
+                for t in (1, 2, Fraction(-1, 2))]
+    q = p ** f
+    return [(character_from_log(p, f, k), lambda k=k: character_from_log(p, f, k))
+            for k in range(q - q // p) if (k % p if f >= 2 else k)]
+
+
+@pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
+def test_exact_shell_sum_against_every_shell(p, f):
+    # the term-by-term sum of u_n s^n over every shell n_min..n_max, u_n by
+    # one residue at a time, against the sparse sum, with ==
+    for chi, _ in _shell_characters(p, f):
+        n_min = -(f + 2)
+        units = [_unit_integral_reference(chi, Fraction(p) ** n)
+                 for n in range(n_min, 1)]
+        for alpha in (1, -1, sqrt_q(p)):
+            if abs(chi.t.to_complex()) * abs(complex(alpha)) >= p:
+                with pytest.raises(ValueError):
+                    mellin_mu_alpha(chi, alpha, n_max=0)
+                continue
+            s = chi.t * alpha * Fraction(1, p)
+            for n_max in (0, 1, 8):
+                want, power = 0, s ** n_min
+                for n in range(n_min, n_max + 1):
+                    want = want + units[min(n, 0) - n_min] * power
+                    power = power * s
+                got = mellin_mu_alpha(chi, alpha, n_max=n_max, exact=True)
+                assert got.value == want * Fraction(p - 1, p), \
+                    (p, f, chi.t, alpha, n_max)
+
+
+@pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
+def test_kept_unit_integrals_match_a_fresh_character(p, f):
+    for chi, fresh in _shell_characters(p, f):
+        mellin_mu_alpha(chi, -1, n_max=2)
+        kept = dict(chi.unit_integrals)
+        # the closed form, a second alpha and a float sum read the kept values
+        mellin_target(chi, 1)
+        if abs(chi.t.to_complex()) < p:
+            mellin_mu_alpha(chi, 1, n_max=3)
+            mellin_mu_alpha(chi, 1, n_max=3, exact=False)
+        assert chi.unit_integrals.keys() == kept.keys()
+        assert all(chi.unit_integrals[k] is v for k, v in kept.items())
+        other = fresh()
+        for n in range(-(f + 2), 1):
+            a = Fraction(p) ** n
+            assert unit_psi_chi_integral(chi, a) \
+                == unit_psi_chi_integral(other, a), (p, f, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_all_primitive_characters_match_the_conductor_filter(p, f):
+    q = p ** f
+    old = [chi for chi in (character_from_log(p, f, k)
+                           for k in range(q - q // p)) if chi.f == f]
+
+    def tables(chars):
+        return [(chi.f, {u: (v.level, v.terms, v.den)
+                         for u, v in chi.unit_table.items()}) for chi in chars]
+    assert tables(all_primitive_characters(p, f)) == tables(old)

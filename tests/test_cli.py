@@ -301,3 +301,17 @@ def test_rank_one_curve_exits_2(command, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "lam(0) = 0 for 91a1" in err
+
+
+@pytest.mark.parametrize("command", ["ezero", "linv"])
+def test_p_two_exits_2_without_a_traceback(command, tmp_path, capsys):
+    # 14a1 has multiplicative reduction at 2; the split test and the measure
+    # need an odd p, so p = 2 is refused before either (an assertion deep in
+    # the split test before)
+    curve = tmp_path / "14a1.txt"
+    curve.write_text("14a1 14 1 0 1 4 -6\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--curve", str(curve), "--p", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.endswith("error: --p must be odd\n")

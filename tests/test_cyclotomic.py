@@ -2,6 +2,7 @@
 float evaluation, not against stored outputs."""
 
 import cmath
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -132,6 +133,36 @@ def test_hash_agrees_with_equality_across_levels():
     assert Cyclotomic.from_rational(Fraction(2, 3)) == Fraction(2, 3)
     with pytest.raises(TypeError):
         hash(Cyclotomic.from_rational(Fraction(2, 3)))
+
+
+@pytest.mark.parametrize("other", [0.5, 2.0, 1j, complex(3, 0)])
+def test_float_or_complex_operand_raises(other):
+    # a float is never read as a Fraction: the arithmetic stays exact
+    x = zeta(3) + Fraction(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert not x == other and x != other
+
+
+def test_rational_operands_take_the_int_and_fraction_paths():
+    for r in (0, 3, -7, True, Fraction(-2, 6), Fraction(5)):
+        x = Cyclotomic.from_rational(r)
+        assert (x.level, x.den) == (1, Fraction(r).denominator)
+        assert x.terms == ({0: Fraction(r).numerator} if r else {})
+        assert zeta(4) * r == zeta(4) * x and zeta(4) + r == x + zeta(4)
+
+
+def test_truth_is_nonzero_after_reduction():
+    # 1 + zeta_2 and the sum of all 7th roots of unity keep their terms but
+    # are 0; the exact shell sum drops a shell only when its value is 0
+    zeros = [1 + zeta(2), sum((zeta(7, k) for k in range(7)), 0),
+             Cyclotomic.from_rational(0), zeta(12, 5) - zeta(12, 5)]
+    assert zeros[0].terms and zeros[1].terms
+    assert not any(zeros)
+    assert all([zeta(3), zeta(8) + zeta(8, 3), Cyclotomic.from_rational(-1)])
 
 
 def test_repr_summarizes_without_reduction():

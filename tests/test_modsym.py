@@ -272,6 +272,18 @@ def test_lam_sym_digest_pinned(E, digest):
     assert hashlib.sha1(repr(lam_sym).encode()).hexdigest()[:12] == digest
 
 
+@pytest.mark.parametrize("E", [E for E, _ in PINNED_DIGESTS],
+                         ids=[E.label for E, _ in PINNED_DIGESTS])
+def test_lam_by_row_is_even_in_d(E):
+    """lam_ratio reads (c, d) and (c, -d) from one table: in the plus
+    quotient x(c, -d) = x(-c, d) = x(c, d), so the table is invariant under
+    d -> -d."""
+    M = ModularSymbolSpace(E)
+    N, row = M.N, M._lam_by_row
+    assert all(row[c * N + d] == row[c * N + -d % N]
+               for c in range(N) for d in range(N))
+
+
 @pytest.mark.parametrize("N", [1, 13, 121])
 def test_wrong_conductor_raises(N):
     # 11a1's coefficients at a level whose space holds no eigensymbol with
