@@ -219,9 +219,8 @@ def _shell_characters(p, f):
     if f == 0:
         return [(trivial_character(p, t), lambda t=t: trivial_character(p, t))
                 for t in (1, 2, Fraction(-1, 2))]
-    q = p ** f
-    return [(character_from_log(p, f, k), lambda k=k: character_from_log(p, f, k))
-            for k in range(q - q // p) if (k % p if f >= 2 else k)]
+    return [(chi, lambda i=i: all_primitive_characters(p, f)[i])
+            for i, chi in enumerate(all_primitive_characters(p, f))]
 
 
 @pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
