@@ -1,12 +1,13 @@
-"""Basic compact opens of Q_p, Q_p^* and P^1(Q_p), and locally constant
-functions given as finite ball-coefficient sums."""
+"""Basic compact opens of Q_p and Q_p^*: additive balls and multiplicative
+cosets, with membership and scaling, and the canonical representative of a
+rational mod p^m Z_p."""
 
 from fractions import Fraction
 
 from .padic import ord_p
 from .value import Value
 
-__all__ = ["Ball", "MultBall", "P1Piece", "BallFunction", "reduce_mod_power"]
+__all__ = ["Ball", "MultBall", "reduce_mod_power"]
 
 
 def reduce_mod_power(x, m, p):
@@ -43,26 +44,11 @@ class Ball(Value):
     def contains(self, x):
         return _ord_at_least(x, self.center, self.depth, self.p)
 
-    def children(self):
-        p = self.p
-        return [Ball(p, self.center + i * Fraction(p) ** self.depth, self.depth + 1)
-                for i in range(p)]
-
-    def parent(self):
-        return Ball(self.p, self.center, self.depth - 1)
-
-    def haar_measure(self):
-        """dx-measure, normalized so that Z_p has measure 1."""
-        return Fraction(self.p) ** (-self.depth)
-
     def scale(self, t):
         """The image t * B."""
         t = Fraction(t)
         assert t != 0
         return Ball(self.p, t * self.center, self.depth + ord_p(t, self.p))
-
-    def translate(self, x):
-        return Ball(self.p, self.center + Fraction(x), self.depth)
 
     def __repr__(self):
         return f"Ball({self.center} + {self.p}^{self.depth}*O)"
@@ -93,88 +79,5 @@ class MultBall(Value):
     def scale(self, t):
         return MultBall(self.p, Fraction(t) * self.a, self.n)
 
-    def additive_pieces(self):
-        """Decompose into additive balls: a*U^(n) = a + a*p^n*O for n >= 1,
-        and a union of p-1 balls for n = 0."""
-        p, v = self.p, self.val
-        if self.n >= 1:
-            return [Ball(p, self.a, v + self.n)]
-        return [Ball(p, u * Fraction(p) ** v, v + 1) for u in range(1, p)]
-
-    def mult_measure(self):
-        """d*x-measure with vol(U, d*x) = 1."""
-        if self.n == 0:
-            return Fraction(1)
-        q = self.p
-        return Fraction(1, q ** (self.n - 1) * (q - 1))
-
     def __repr__(self):
         return f"MultBall({self.a}*U^({self.n}))"
-
-
-class P1Piece(Value):
-    """A ball of Q_p viewed inside P^1, or the complement of one (which is
-    the piece containing infinity)."""
-    __slots__ = _fields = ("ball", "complement")
-
-    def __init__(self, ball, complement=False):
-        self.ball, self.complement = ball, complement
-
-    def contains_infinity(self):
-        return self.complement
-
-    def contains(self, x):
-        inside = self.ball.contains(x)
-        return (not inside) if self.complement else inside
-
-    def invert(self):
-        return P1Piece(self.ball, not self.complement)
-
-    def __repr__(self):
-        return ("P1 - " if self.complement else "") + repr(self.ball)
-
-
-class BallFunction:
-    """A finite sum of coefficients times indicators of disjoint basic pieces
-    (additive balls and/or multiplicative cosets) of Q_p or Q_p^*."""
-
-    def __init__(self, p, pieces=()):
-        self.p = p
-        self.pieces = [(b, c) for b, c in pieces if c != 0]
-
-    @classmethod
-    def indicator(cls, piece, coeff=Fraction(1)):
-        return cls(piece.p, [(piece, coeff)])
-
-    def __add__(self, other):
-        assert self.p == other.p
-        return BallFunction(self.p, list(self.pieces) + list(other.pieces))
-
-    def __neg__(self):
-        return BallFunction(self.p, [(b, -c) for b, c in self.pieces])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def act(self, t):
-        """The torus action (t.f)(x) = f(t^{-1} x)."""
-        t = Fraction(t)
-        return BallFunction(self.p, [(b.scale(t), c) for b, c in self.pieces])
-
-    def translate(self, x):
-        """(f shifted) y -> f(y - x); additive pieces only."""
-        assert all(isinstance(b, Ball) for b, _ in self.pieces)
-        return BallFunction(self.p, [(b.translate(x), c) for b, c in self.pieces])
-
-    def additive_pieces(self):
-        """Flatten to (additive Ball, coeff) pairs."""
-        out = []
-        for b, c in self.pieces:
-            if isinstance(b, Ball):
-                out.append((b, c))
-            else:
-                out.extend((bb, c) for bb in b.additive_pieces())
-        return out
-
-    def __repr__(self):
-        return f"BallFunction({self.pieces!r})"

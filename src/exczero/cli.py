@@ -183,7 +183,7 @@ def _load_curve_arg(args, parser, split_for=None):
     """The --curve file's curve after the checks of --p, --prec and any
     --level; split_for names what needs a split multiplicative --p."""
     _check_p(parser, args.p)
-    if args.p == 2:   # the split test and the measure need an odd p
+    if args.p == 2:   # the measure and the p-adic logarithm need an odd p
         parser.error("--p must be odd")
     _check_range(parser, "--prec", args.prec, 1)
     if "level" in args:

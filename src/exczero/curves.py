@@ -1,7 +1,7 @@
 """Elliptic curves over Q given by Weierstrass coefficients: standard
 invariants, Hecke eigenvalues a_ell by point counting (tangent-slope test at
-multiplicative primes), Tate periods at multiplicative p by inverting the
-j-series, and the L-invariant log_p(q_E)/ord_p(q_E)."""
+odd multiplicative primes), Tate periods at multiplicative p by inverting
+the j-series, and the L-invariant log_p(q_E)/ord_p(q_E)."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -94,11 +94,15 @@ def reduction_type(E, ell):
 
 
 def _split_at(E, ell):
-    """Multiplicative ell odd: the node is split iff the tangent directions
-    are F_ell-rational.  On (2y + a1 x + a3)^2 = f(x) the node sits over the
-    double root x0 of f, and the directions are rational iff the remaining
-    linear factor's value g(x0) is a square mod ell."""
-    assert ell % 2 == 1, "tangent test implemented for odd ell"
+    """Multiplicative ell: is the node split?  At ell = 2, on the (minimal)
+    model reduced mod 2 with its node counted, 3 - #E(F_2) is +1 at a split
+    node and -1 at a nonsplit one.  At odd ell the node is split iff the
+    tangent directions are F_ell-rational.  On (2y + a1 x + a3)^2 = f(x)
+    the node sits over the double root x0 of f, and the directions are
+    rational iff the remaining linear factor's value g(x0) is a square mod
+    ell."""
+    if ell == 2:
+        return _points_mod_2(E) == 2
     f = [c % ell for c in E.rhs_times_four()]
     fp = [(k * f[k]) % ell for k in range(1, 4)]
     roots = [x for x in range(ell)
@@ -107,6 +111,14 @@ def _split_at(E, ell):
     x0 = roots[0]
     g = _deflate(_deflate(f, x0, ell), x0, ell)
     return _legendre(_evalmod(g, x0, ell), ell) == 1
+
+
+def _points_mod_2(E):
+    """#E(F_2) on the model reduced mod 2, the point at infinity and any
+    singular point included."""
+    return 1 + sum((y * y + E.a1 * x * y + E.a3 * y
+                    - x ** 3 - E.a2 * x * x - E.a4 * x - E.a6) % 2 == 0
+                   for x in range(2) for y in range(2))
 
 
 def _evalmod(coeffs, x, m):
@@ -137,14 +149,7 @@ def ap(E, ell):
     if kind == "nonsplit":
         return -1
     if ell == 2:
-        count = 1  # infinity
-        for x in range(2):
-            for y in range(2):
-                lhs = (y * y + E.a1 * x * y + E.a3 * y) % 2
-                rhs = (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % 2
-                if lhs == rhs:
-                    count += 1
-        return 2 + 1 - count
+        return 3 - _points_mod_2(E)
     f = E.rhs_times_four()
     return -sum(_legendre(_evalmod(f, x, ell), ell) for x in range(ell))
 

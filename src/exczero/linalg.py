@@ -1,10 +1,11 @@
 """Exact linear algebra over Q: the reduced row echelon form of a sparse
-matrix, one solution of a linear system, and the determinant."""
+matrix, for the modular-symbol quotient and eigensymbol, and the
+determinant, for the determinant identity."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["rref", "solve", "det"]
+__all__ = ["rref", "det"]
 
 
 def rref(rows):
@@ -47,18 +48,6 @@ def _eliminate(y, x, col):
     g = gcd(*y.values())
     for j in y:
         y[j] //= g
-
-
-def solve(rows, rhs):
-    """One exact solution of a (possibly non-square) system, or None."""
-    n = len(rows[0]) if rows else 0
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(reduced, pivots):
-        x[col] = row.get(n, Fraction(0))
-    return x
 
 
 def det(rows):

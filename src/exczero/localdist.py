@@ -1,59 +1,20 @@
 """The local distributions mu_alpha = psi(x) chi_alpha(x) dx on Q_p^*
-(on Q_p for alpha = 1): exact integration of ball functions, shell-sum
-Mellin transforms with a rigorous tail bound, and diagonal Whittaker
-values."""
+(on Q_p for alpha = 1), integrated against a quasicharacter chi: the
+shell-sum Mellin transform, exact or in floats, with a rigorous tail bound,
+one shell of it, and the closed-form target it interpolates."""
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .balls import Ball, MultBall
 from .characters import (
-    AdditiveCharacterPsi, euler_factor, gauss_sum, local_L,
-    unit_psi_chi_integral,
+    euler_factor, gauss_sum, local_L, unit_psi_chi_integral,
 )
-from .cyclotomic import Cyclotomic, as_cyclotomic
-from .padic import ord_p
+from .cyclotomic import Cyclotomic
 
 __all__ = [
-    "psi_ball_integral", "mu_alpha_ball", "integrate_mu_alpha",
     "unit_psi_chi_integral", "shell_integral", "mellin_mu_alpha",
-    "MellinResult", "mellin_target", "whittaker_value",
+    "MellinResult", "mellin_target",
 ]
-
-
-def psi_ball_integral(ball):
-    """int over a + p^k O of psi(x) dx: p^{-k} psi(a) if k >= 0, else 0
-    (psi is nontrivial on p^{-1}O/O, so deeper balls cancel exactly)."""
-    if ball.depth < 0:
-        return Cyclotomic.from_rational(0)
-    return ball.haar_measure() * AdditiveCharacterPsi(ball.p)(ball.center)
-
-
-def mu_alpha_ball(alpha, piece):
-    """mu_alpha of a basic piece: an additive Ball (alpha = 1, or a ball of
-    constant valuation) or a multiplicative coset aU^(n)."""
-    alpha = as_cyclotomic(alpha)
-    p = piece.p
-    if isinstance(piece, Ball):
-        if alpha == 1:
-            return psi_ball_integral(piece)
-        v = ord_p(piece.center, p) if piece.center != 0 else None
-        assert v is not None and v < piece.depth, \
-            "chi_alpha is not constant on a ball containing 0"
-        return alpha ** v * psi_ball_integral(piece)
-    assert isinstance(piece, MultBall)
-    total = Cyclotomic.from_rational(0)
-    for b in piece.additive_pieces():
-        total = total + psi_ball_integral(b)
-    return alpha ** piece.val * total
-
-
-def integrate_mu_alpha(f, alpha):
-    """Linear extension of mu_alpha_ball over the pieces of a BallFunction."""
-    total = Cyclotomic.from_rational(0)
-    for piece, coeff in f.pieces:
-        total = total + coeff * mu_alpha_ball(alpha, piece)
-    return total
 
 
 def shell_integral(chi, alpha, n):
@@ -108,9 +69,3 @@ def mellin_target(chi, alpha):
     """The closed-form target tau(chi) e(alpha, chi) L(1/2, pi_alpha x chi)."""
     return gauss_sum(chi) * euler_factor(alpha, chi) \
         * local_L(alpha, chi)
-
-
-def whittaker_value(f, alpha, a):
-    """The diagonal Whittaker value: int (a.f) d mu_alpha with
-    (a.f)(x) = f(a^{-1} x)."""
-    return integrate_mu_alpha(f.act(a), alpha)

@@ -118,6 +118,7 @@ def criterion_mellin_closed_form(seed=0, tol=1e-8, quick=False):
                 if rng.random() < 0.5:
                     t = -t
                 chi = Quasicharacter(base.p, t, base.f, base.unit_table)
+                chi.unit_integrals = base.unit_integrals  # free of t
                 target = mellin_closed_form(chi).to_complex()
                 r = abs(float(t)) / p
                 n_max = 40

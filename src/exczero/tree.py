@@ -1,26 +1,24 @@
-"""The Bruhat-Tits tree of PGL_2(Q_p).
+"""The Bruhat-Tits tree of PGL_2(Q_p): its vertices and edges, their
+neighbours and distances, and the balls of vertices around a center.
 
 A vertex is a homothety class of Z_p-lattices in Q_p^2.  The canonical form
 (n, b) denotes the class of the lattice spanned by (p^{-n}, 0) and (b, 1)
-with b reduced mod p^{-n} Z_p.  With this convention the apartment vertex
-[O + p^n O] is (n, 0), the height function is simply h((n, b)) = n, and
-the upper-triangular action satisfies h((a *; 0 1) v) = -ord(a) + h(v).
+with b reduced mod p^{-n} Z_p.  The apartment vertex [O + p^n O] is (n, 0),
+and the height of (n, b) is n, one up towards infinity and one down towards
+each of its p children.
 
-Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p; the end
-space of the tree is P^1(Q_p), with infinity in the direction of increasing
-height.
+Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p.
 """
 
 from fractions import Fraction
 from operator import itemgetter
 
-from .balls import Ball, P1Piece, reduce_mod_power
+from .balls import Ball, reduce_mod_power
 from .padic import ord_p
 
 __all__ = [
-    "TreeVertex", "TreeEdge", "base_vertex", "apartment_vertex",
-    "vertex_from_ball", "ball_of_vertex", "edge_of_ball",
-    "neighbors", "height", "act", "ends", "distance", "ball_vertices",
+    "TreeVertex", "TreeEdge", "base_vertex", "vertex_from_ball",
+    "ball_of_vertex", "neighbors", "distance", "ball_vertices",
 ]
 
 
@@ -68,15 +66,6 @@ def base_vertex(p):
     return TreeVertex(p, 0, Fraction(0))
 
 
-def apartment_vertex(p, n):
-    """v_n, the class of O + p^n O."""
-    return TreeVertex(p, n, Fraction(0))
-
-
-def height(v):
-    return v.n
-
-
 def ball_of_vertex(v):
     """The ball of Q_p corresponding to v: b + p^{-n} Z_p."""
     return Ball(v.p, v.b, -v.n)
@@ -84,12 +73,6 @@ def ball_of_vertex(v):
 
 def vertex_from_ball(ball):
     return TreeVertex(ball.p, -ball.depth, ball.center)
-
-
-def edge_of_ball(ball):
-    """The edge e with U(e) equal to the given ball (target = ball's vertex,
-    origin = the parent vertex one level up)."""
-    return TreeEdge(vertex_from_ball(ball.parent()), vertex_from_ball(ball))
 
 
 def neighbors(v):
@@ -118,48 +101,6 @@ def distance(v, w):
     if diff:
         join = min(join, ord_p(diff, p) - ord_p(D, p))
     return -n - m - 2 * join
-
-
-def act(g, x):
-    """PGL_2 action on a vertex or edge; g is a 2x2 rational matrix."""
-    if isinstance(x, TreeEdge):
-        return TreeEdge(act(g, x.origin), act(g, x.target))
-    (a, b), (c, d) = [[Fraction(t) for t in row] for row in g]
-    assert a * d - b * c != 0, "singular matrix"
-    p = x.p
-    # lattice columns: u = g*(p^{-n}, 0), w = g*(b, 1)
-    pn = Fraction(p) ** (-x.n)
-    u = (a * pn, c * pn)
-    w = (a * x.b + b, c * x.b + d)
-    return _normalize_lattice(p, u, w)
-
-
-def _normalize_lattice(p, u, w):
-    """Canonical vertex for the lattice Z_p u + Z_p w (columns)."""
-    # ensure the second coordinate of w has minimal valuation
-    ou = ord_p(u[1], p) if u[1] != 0 else None
-    ow = ord_p(w[1], p) if w[1] != 0 else None
-    if ow is None or (ou is not None and ou < ow):
-        u, w = w, u
-        ou, ow = ow, ou
-    # clear the second coordinate of u: u -= (u2/w2) w, with u2/w2 in Z_p
-    if u[1] != 0:
-        r = u[1] / w[1]
-        assert ord_p(r, p) >= 0
-        u = (u[0] - r * w[0], Fraction(0))
-    assert u[0] != 0
-    # homothety by 1/w2 puts the second column in the form (*, 1)
-    x = u[0] / w[1]
-    bb = w[0] / w[1]
-    m = ord_p(x, p)
-    return TreeVertex(p, -m, bb)
-
-
-def ends(e):
-    """The compact open U(e) of P^1(Q_p): ends of geodesics through e."""
-    if height(e.target) == height(e.origin) - 1:
-        return P1Piece(ball_of_vertex(e.target), complement=False)
-    return P1Piece(ball_of_vertex(e.origin), complement=True)
 
 
 def ball_vertices(p, radius, center=None):

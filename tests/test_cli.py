@@ -305,9 +305,8 @@ def test_rank_one_curve_exits_2(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["ezero", "linv"])
 def test_p_two_exits_2_without_a_traceback(command, tmp_path, capsys):
-    # 14a1 has multiplicative reduction at 2; the split test and the measure
-    # need an odd p, so p = 2 is refused before either (an assertion deep in
-    # the split test before)
+    # 14a1 has multiplicative reduction at 2; the measure and the p-adic
+    # logarithm need an odd p, so p = 2 is refused before either
     curve = tmp_path / "14a1.txt"
     curve.write_text("14a1 14 1 0 1 4 -6\n")
     with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 E11 = EllipticCurve("11a1", 11, 0, -1, 1, -10, -20)
 E15 = EllipticCurve("15a1", 15, 1, 1, 1, -10, -10)
+E14 = EllipticCurve("14a1", 14, 1, 0, 1, 4, -6)
 
 
 def test_load_curve():
@@ -76,6 +77,16 @@ def test_ap_15a1():
     known = {2: -1, 3: -1, 5: 1, 7: 0, 11: -4, 13: -2, 17: 2, 19: 4, 23: 0}
     for ell, a in known.items():
         assert ap(E15, ell) == a, ell
+
+
+def test_ap_at_a_multiplicative_two():
+    # the node sign at 2 from the point count of the reduced model: Cremona's
+    # a_2 is -1 for 14a1 and 26a1 and +1 for 26b1
+    assert reduction_type(E14, 2) == "nonsplit" and ap(E14, 2) == -1
+    assert reduction_type(E14, 7) == "split" and ap(E14, 7) == 1
+    assert ap(EllipticCurve("26a1", 26, 1, 0, 1, -5, -8), 2) == -1
+    E26b = EllipticCurve("26b1", 26, 1, -1, 1, -3, 3)
+    assert reduction_type(E26b, 2) == "split" and ap(E26b, 2) == 1
 
 
 def test_hasse_bound():

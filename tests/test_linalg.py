@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from exczero.linalg import rref, solve
+from exczero.linalg import rref
 
 
 def _reference_rref(rows, ncols):
@@ -34,17 +34,3 @@ def test_rref_matches_dense_reference():
             == expected
         reduced, _ = rref(rows)
         assert all(type(v) is Fraction for r in reduced for v in r.values())
-
-
-def test_solve_solves_or_reports_none():
-    rng = random.Random(12)
-    for _ in range(200):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randint(-3, 3) for _ in range(m)]
-        x = solve(rows, rhs)
-        if x is None:
-            _, pivots = rref([r + [b] for r, b in zip(rows, rhs)])
-            assert pivots[-1] == n
-        else:
-            assert [sum(a * v for a, v in zip(r, x)) for r in rows] == rhs

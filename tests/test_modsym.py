@@ -246,6 +246,21 @@ def test_lam_is_even(E):
             assert M.lam_ratio(n, d) == M.lam_ratio(d - n, d), (n, d)
 
 
+@pytest.mark.parametrize("E", [
+    EllipticCurve("14a1", 14, 1, 0, 1, 4, -6),
+    EllipticCurve("26a1", 26, 1, 0, 1, -5, -8),
+    EllipticCurve("26b1", 26, 1, -1, 1, -3, 3),
+], ids=lambda E: E.label)
+def test_ap_at_two_is_the_U2_eigenvalue(E):
+    """An oracle for a_2 at a multiplicative 2 apart from the point count:
+    U_2 on the path from infinity to r, lam(r/2) + lam((r + 1)/2) =
+    a_2 lam(r)."""
+    M = ModularSymbolSpace(E)
+    for r in (Fraction(0), Fraction(1, 3), Fraction(2, 5)):
+        assert M.lam(r) and M.lam(r / 2) + M.lam((r + 1) / 2) \
+            == ap(E, 2) * M.lam(r)
+
+
 # sha1(repr(lam_sym))[:12] of twelve curves: every rank-zero and rank-one
 # case the sweeps start from must keep its eigensymbol, however the space
 # is built

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exczero.balls import Ball, MultBall, P1Piece
+from exczero.balls import Ball, MultBall
 from exczero.curves import EllipticCurve
 from exczero.padic import DEFAULT_PREC
 from exczero.steinberg import EllSpec
@@ -62,16 +62,6 @@ def test_ball_never_equals_a_multball_with_the_same_fields():
     assert len({b, m}) == 2
 
 
-def test_p1piece_equality_and_hash():
-    b = Ball(3, 1, 2)
-    _same(P1Piece(b), P1Piece(b, False))
-    _same(P1Piece(b, True), P1Piece(Ball(3, 10, 2), True))
-    _differ(P1Piece(b), P1Piece(b, True))
-    _differ(P1Piece(b), P1Piece(Ball(3, 1, 1)))
-    _differ(P1Piece(b), b)
-    assert P1Piece(b).complement is False
-
-
 def test_ellspec_equality_ignores_zero():
     _same(EllSpec("log", 5), EllSpec("log", 5, DEFAULT_PREC))
     _same(EllSpec("ord", 3), EllSpec("ord", 3))
@@ -108,4 +98,3 @@ def test_reprs():
     assert repr(EllSpec("log", 5, 8)) == "EllSpec(kind='log', p=5, prec=8)"
     assert repr(Ball(5, 37, 2)) == "Ball(12 + 5^2*O)"
     assert repr(MultBall(5, 6, 1)) == "MultBall(1*U^(1))"
-    assert repr(P1Piece(Ball(3, 1, 2), True)) == "P1 - Ball(1 + 3^2*O)"
