@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -85,6 +86,27 @@ def test_z_ell_examples():
     for x in sweep_points(p, [-3, 3]):
         assert zinv.evaluate(x) == -moved.evaluate(x)
 
+
+# sha256[:12] of the reprs of z_ell(a)(x) and (t.z_ell(a))(x), 3744 values:
+# ord at 2 and 3 and log at 5, a = +-p^e for e in (-3, -1, 0, 2), t in
+# (p, p^-2, p + 1), x = u p^k for k in -6..6 and u in (1, -1, p + 1)
+Z_ELL_DIGEST = "90de761a639c"
+
+
+def test_z_ell_digest_pinned():
+    vals = []
+    for kind, p in (("ord", 2), ("ord", 3), ("log", 5)):
+        ell = EllSpec(kind, p)
+        xs = [u * Fraction(p) ** k for k in range(-6, 7)
+              for u in (1, -1, p + 1)]
+        for e in (-3, -1, 0, 2):
+            for s in (1, -1):
+                z = z_ell(s * Fraction(p) ** e, ell)
+                for f in [z] + [z.act(t) for t in (p, Fraction(1, p * p), p + 1)]:
+                    vals.extend(repr(f.evaluate(x)) for x in xs)
+    assert len(vals) == 3744
+    digest = hashlib.sha256("\n".join(vals).encode()).hexdigest()[:12]
+    assert digest == Z_ELL_DIGEST
 
 def test_cocycle_relation():
     # z(ab) = z(a) + a.z(b) pointwise on a shell-covering sweep
