@@ -200,42 +200,29 @@ def tate_period(E, p, prec=20):
     m = -ord_p(j, p)
     assert m > 0, "needs multiplicative reduction (ord_p(j) < 0)"
     goal = prec + m
+    mod = p ** goal
     K = goal // m + 2
     w = j_series_coeffs(K)  # q*j = sum w_k q^k, w_0 = 1
-    t = 1 / j
-    q = t
+    # 1/j = Delta / c4^3 has a p-unit denominator, as p does not divide c4
+    # at multiplicative p: t is its representative mod p^goal
+    t = q = j.denominator * pow(j.numerator, -1, mod) % mod
     # fixed point q = t * w(q); each pass gains m digits of agreement since
     # w has integer coefficients and ord(t) = m
     for _ in range(goal // m + 2):
-        q = _reduce(t * Fraction(_evalmod_frac(w, q, p, goal)), p, goal)
+        q = t * _evalmod(w, q, mod) % mod
     qpad = from_rational(q, p, prec)
     assert qpad.val == m
     return qpad
-
-
-def _evalmod_frac(coeffs, x, p, goal):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = _reduce(total * x + c, p, goal)
-    return total
-
-
-def _reduce(x, p, goal):
-    """Canonical representative of x mod p^goal (x has p-unit denominator)."""
-    mod = p ** goal
-    num, den = x.numerator, x.denominator
-    return Fraction(num * pow(den, -1, mod) % mod)
 
 
 def j_of_q(E, p, prec=20):
     """Evaluate the j-series at the computed Tate period (round-trip check)."""
     q = tate_period(E, p, prec)
     m = q.val
-    qr = Fraction(q.unit) * Fraction(p) ** m
+    qr = q.unit * p ** m
     K = prec // m + 2
     w = j_series_coeffs(K)
-    goal = prec + m
-    return _reduce(_evalmod_frac(w, qr, p, goal), p, goal) / qr
+    return Fraction(_evalmod(w, qr, p ** (prec + m)), qr)
 
 
 def l_invariant(E, p, prec=20):

@@ -10,7 +10,6 @@ the normalized period of the path from infinity to a rational r through
 continued-fraction convergents, looking each symbol up by its bottom row
 mod N."""
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import ap
@@ -103,11 +102,13 @@ class ModularSymbolSpace:
                           if rep[j] == j and sign[j] and j not in pivots)
         self.dim = len(self.free)
         # rel_cols[j] = {i: x}: Manin symbol j is the sum of x times free
-        # symbol i; a reduced row is 1 at its pivot and 0 at the others
+        # symbol i, x an int where it is integral; a reduced row is 1 at its
+        # pivot and 0 at the others
         coord = {j: i for i, j in enumerate(self.free)}
         cols = {j: {i: 1} for j, i in coord.items()}
         for row, col in zip(reduced, pivots):
-            cols[col] = {coord[j]: -x for j, x in row.items() if j != col}
+            cols[col] = {coord[j]: -x.numerator if x.denominator == 1 else -x
+                         for j, x in row.items() if j != col}
         self.rel_cols = [{i: sign[j] * x for i, x in cols[rep[j]].items()}
                          if sign[j] else {} for j in range(len(p1))]
 
@@ -115,7 +116,7 @@ class ModularSymbolSpace:
         """T_n on the quotient, as a list of rows: the sum of the right
         actions of the Heilbronn matrices of determinant n."""
         N, flat, mats = self.N, self.p1.flat, list(heilbronn_matrices(n))
-        out = [[Fraction(0)] * self.dim for _ in self.free]
+        out = [[0] * self.dim for _ in self.free]
         for col, idx in enumerate(self.free):
             c, d = self.p1[idx]
             for a, b, cc, dd in mats:

@@ -4,15 +4,16 @@ and the coboundary identity relating the two.
 
 ell is either ord_p (integer-valued) or the Iwasawa logarithm (p-adic
 valued).  z_ell(a) is a locally "affine in ell" function on Q_p^*: a finite
-list of disjoint regions, each carrying a constant term and an ell-weight,
-so the value at x is const + weight * ell(x).  This keeps the log kind
-exact: log is not locally constant on valuation shells, so a plain
-ball-coefficient expansion would not represent it.
+list of regions, each carrying a constant term and an ell-weight, so the
+value at x is const + weight * ell(x).  This keeps the log kind exact: log
+is not locally constant on valuation shells, so a plain ball-coefficient
+expansion would not represent it.  Every region is a valuation range
+lo <= ord_p(x) < hi: the ball p^lo O (hi None) or the shells p^k O^* between
+O and aO, and translating by t shifts both ends by ord_p(t).
 """
 
 from fractions import Fraction
 
-from .balls import Ball, MultBall
 from .padic import DEFAULT_PREC, from_rational, log_iwasawa, ord_p
 from .value import Value
 
@@ -41,8 +42,9 @@ class EllSpec(Value):
 
 
 class EllFunction:
-    """Finite sum of pieces (region, const, weight), weight in {-1, 0, 1};
-    the value at x is sum over regions containing x of const + weight*ell(x)."""
+    """Finite sum of pieces ((lo, hi), const, weight), weight in {-1, 0, 1},
+    on the region lo <= ord_p(x) < hi (hi None: no upper end); the value at
+    x is the sum over regions containing x of const + weight*ell(x)."""
 
     def __init__(self, ell, pieces=()):
         self.ell = ell
@@ -50,9 +52,10 @@ class EllFunction:
 
     def evaluate(self, x):
         assert x != 0
+        v = ord_p(x, self.ell.p)
         total = self.ell.zero
-        for region, const, weight in self.pieces:
-            if region.contains(x):
+        for (lo, hi), const, weight in self.pieces:
+            if lo <= v and (hi is None or v < hi):
                 total = total + const
                 if weight:
                     ell_x = self.ell(x)
@@ -64,11 +67,14 @@ class EllFunction:
         return EllFunction(self.ell, self.pieces + other.pieces)
 
     def act(self, t):
-        """(t.f)(x) = f(t^{-1} x): scale regions by t and absorb the shift
-        of the ell-weighted part, ell(t^{-1}x) = ell(x) - ell(t)."""
+        """(t.f)(x) = f(t^{-1} x): shift the valuation ranges by ord_p(t) and
+        absorb the shift of the ell-weighted part, ell(t^{-1}x) = ell(x) -
+        ell(t)."""
         lt = self.ell(t)   # asserts t != 0
-        return EllFunction(self.ell, [(region.scale(t), const - lt * weight, weight)
-                                      for region, const, weight in self.pieces])
+        s = ord_p(t, self.ell.p)
+        return EllFunction(self.ell, [
+            ((lo + s, None if hi is None else hi + s), const - lt * weight, weight)
+            for (lo, hi), const, weight in self.pieces])
 
     def __repr__(self):
         return f"EllFunction({self.pieces!r})"
@@ -90,14 +96,13 @@ def phi0(g, ell):
 
 def z_ell(a, ell):
     """The cocycle value z_ell(a) = (1 - a)(ell * 1_O) as an EllFunction:
-    ell(a) on aO plus (or minus) ell itself on the valuation shells between
-    O and aO."""
+    ell(a) on aO = p^m O plus (or minus) ell itself on the valuation shells
+    p^k O^* between O and aO."""
     assert a != 0
-    p = ell.p
-    m = ord_p(a, p)
-    shells = [(MultBall(p, Fraction(p) ** k, 0), ell.zero, 1 if m >= 0 else -1)
+    m = ord_p(a, ell.p)
+    shells = [((k, k + 1), ell.zero, 1 if m >= 0 else -1)
               for k in range(min(m, 0), max(m, 0))]
-    return EllFunction(ell, [(Ball(p, Fraction(0), m), ell(a), 0)] + shells)
+    return EllFunction(ell, [((m, None), ell(a), 0)] + shells)
 
 
 def coboundary_check(a, x, ell):

@@ -7,19 +7,49 @@ with b reduced mod p^{-n} Z_p.  The apartment vertex [O + p^n O] is (n, 0),
 and the height of (n, b) is n, one up towards infinity and one down towards
 each of its p children.
 
-Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p.
+Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p, the value
+type Ball with its center reduced mod p^depth Z_p by reduce_mod_power.
 """
 
 from fractions import Fraction
 from operator import itemgetter
 
-from .balls import Ball, reduce_mod_power
 from .padic import ord_p
+from .value import Value
 
 __all__ = [
-    "TreeVertex", "TreeEdge", "base_vertex", "vertex_from_ball",
+    "Ball", "TreeVertex", "TreeEdge", "base_vertex", "vertex_from_ball",
     "ball_of_vertex", "neighbors", "distance", "ball_vertices",
+    "reduce_mod_power",
 ]
+
+
+def reduce_mod_power(x, m, p):
+    """Canonical representative of x mod p^m Z_p, in [0, p^m), for x rational
+    and any integer m (the representative has p-power denominator)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    # write x = num / (p^k * c) with gcd(c, p) = 1
+    num, c, k = x.numerator, x.denominator, 0
+    while c % p == 0:
+        c //= p
+        k += 1
+    if num == 0 or m + k <= 0:   # then ord_p(x) >= m
+        return Fraction(0)
+    mod = p ** (m + k)
+    return Fraction(num * pow(c, -1, mod) % mod, p ** k)
+
+
+class Ball(Value):
+    """Additive ball center + p^depth * Z_p (depth any integer)."""
+    __slots__ = _fields = ("p", "center", "depth")
+
+    def __init__(self, p, center, depth):
+        self.p, self.depth = p, depth
+        self.center = reduce_mod_power(center, depth, p)
+
+    def __repr__(self):
+        return f"Ball({self.center} + {self.p}^{self.depth}*O)"
 
 
 class TreeVertex(tuple):

@@ -13,18 +13,13 @@ __all__ = [
 ]
 
 
-def _exact(c):
-    """An exact value as it is: ints stay ints, anything else a Fraction."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
-
-
 class VertexFunction:
     """Finitely supported function on tree vertices with int or Fraction
     values; a vertex outside the support reads 0."""
 
     def __init__(self, p, data=None):
         self.p = p
-        self.data = {v: _exact(c) for v, c in (data or {}).items() if c != 0}
+        self.data = {v: c for v, c in (data or {}).items() if c != 0}
 
     @classmethod
     def indicator(cls, v, coeff=1):
@@ -85,7 +80,8 @@ class EdgeFunction:
 
     def set(self, e, val):
         ce, orient = _canonical(e)
-        val = _exact(val) if orient == 1 else _exact(val) * self._flip
+        if orient != 1:
+            val = val * self._flip
         if val == 0:
             self.data.pop(ce, None)
         else:
@@ -93,7 +89,7 @@ class EdgeFunction:
         return self
 
     def add_to(self, e, val):
-        return self.set(e, self(e) + _exact(val))
+        return self.set(e, self(e) + val)
 
     def __call__(self, e):
         ce, orient = _canonical(e)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exczero.balls import MultBall
 from exczero.padic import from_rational, log_iwasawa, ord_p
 from exczero.steinberg import EllSpec, coboundary_check, phi0, z_ell
+from exczero.tree import reduce_mod_power
 
 
 def random_nonzero(rng, p, span=3):
@@ -142,15 +142,12 @@ def test_coboundary_examples():
 
 # -- oracle of EllFunction.evaluate: today's Fraction arithmetic --------------
 
-def _contains_by_fraction(region, x):
-    p = region.p
-    if isinstance(region, MultBall):
-        if ord_p(x, p) != ord_p(region.a, p):
-            return False
-        diff = x / region.a - 1
-        return region.n == 0 or diff == 0 or ord_p(diff, p) >= region.n
-    diff = x - region.center
-    return diff == 0 or ord_p(diff, p) >= region.depth
+def _contains_by_fraction(region, x, p):
+    """lo <= ord_p(x) < hi as x in p^lo Z_p and, for hi not None, x not in
+    p^hi Z_p: read through reduce_mod_power, not ord_p."""
+    lo, hi = region
+    return reduce_mod_power(x, lo, p) == 0 and (
+        hi is None or reduce_mod_power(x, hi, p) != 0)
 
 
 def _evaluate_by_fraction(f, x):
@@ -162,7 +159,7 @@ def _evaluate_by_fraction(f, x):
         total = from_rational(0, ell.p, ell.prec)
         ell_x = log_iwasawa(x, ell.p, ell.prec)
     for region, const, weight in f.pieces:
-        if _contains_by_fraction(region, x):
+        if _contains_by_fraction(region, x, ell.p):
             total = total + const
             if weight != 0:
                 total = total + ell_x * weight

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from exczero.balls import Ball, MultBall
 from exczero.curves import EllipticCurve
 from exczero.padic import DEFAULT_PREC
 from exczero.steinberg import EllSpec
+from exczero.tree import Ball
+from exczero.value import Value
 
 
 def _same(x, y):
@@ -37,29 +38,20 @@ def test_ball_equality_and_hash():
     assert len({Ball(3, x, 1) for x in range(9)}) == 3
 
 
-def test_multball_normalizes_and_keeps_its_valuation():
-    m = MultBall(5, 6, 1)               # 6 = 1 mod 5
-    assert m.a == 1 and m.val == 0
-    assert MultBall(5, Fraction(30), 0).a == 5
-    assert MultBall(5, Fraction(30), 0).val == 1
-    assert MultBall(5, Fraction(7, 25), 1).a == Fraction(2, 25)
-    assert MultBall(5, Fraction(7, 25), 1).val == -2
+class _Other(Value):
+    """A Value with Ball's fields."""
+    __slots__ = _fields = ("p", "center", "depth")
+
+    def __init__(self, p, center, depth):
+        self.p, self.center, self.depth = p, center, depth
 
 
-def test_multball_equality_and_hash():
-    _same(MultBall(5, 6, 1), MultBall(5, 1, 1))
-    _same(MultBall(5, 10, 0), MultBall(5, 15, 0))
-    _differ(MultBall(5, 1, 1), MultBall(5, 1, 2))
-    _differ(MultBall(5, 1, 1), MultBall(5, 2, 1))
-    _differ(MultBall(5, 1, 1), MultBall(7, 1, 1))
-
-
-def test_ball_never_equals_a_multball_with_the_same_fields():
-    b, m = Ball(5, Fraction(1), 1), MultBall(5, Fraction(1), 1)
-    assert (b.p, b.center, b.depth) == (m.p, m.a, m.n)
-    _differ(b, m)
-    _differ(m, b)
-    assert len({b, m}) == 2
+def test_ball_never_equals_another_value_with_the_same_fields():
+    b, o = Ball(5, Fraction(1), 1), _Other(5, Fraction(1), 1)
+    assert b._key() == o._key()
+    _differ(b, o)
+    _differ(o, b)
+    assert len({b, o}) == 2
 
 
 def test_ellspec_equality_ignores_zero():
@@ -97,4 +89,3 @@ def test_reprs():
                        " a4=-10, a6=-20)")
     assert repr(EllSpec("log", 5, 8)) == "EllSpec(kind='log', p=5, prec=8)"
     assert repr(Ball(5, 37, 2)) == "Ball(12 + 5^2*O)"
-    assert repr(MultBall(5, 6, 1)) == "MultBall(1*U^(1))"
