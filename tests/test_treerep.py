@@ -1,13 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
 from exczero.tree import (
-    TreeEdge, TreeVertex, ball_vertices, base_vertex, neighbors,
+    TreeEdge, TreeVertex, ball_vertices, base_vertex, distance, neighbors,
 )
 from exczero.treerep import (
     EdgeFunction, VertexFunction, delta, delta_star, hecke_T, rho_times,
     tilde_delta_down, tilde_delta_up,
 )
+
+# sha256 of delta, delta*, T, delta~_rho, delta~^rho and rho on seeded random
+# functions at p = 2, 3, 5, both signs and alpha = 1, -1, 2 (see
+# test_operators_pinned)
+OPERATOR_DIGEST = "a9bc2539aa82baa939448d003d4370ed8cc473f34aaa0f14d1c1aecc0caa8c6d"
 
 
 def random_vertex_function(rng, p, radius=2, terms=4):
@@ -192,3 +198,53 @@ def test_operators_agree_on_int_and_fraction_values():
                 == tilde_delta_down(alpha, c_q).scale(den)
             assert tilde_delta_up(alpha, phi) \
                 == tilde_delta_up(alpha, phi_q).scale(den)
+
+
+def _lines(f):
+    """The values of a vertex or edge function, as sorted text lines that do
+    not depend on how an edge is typed."""
+    if isinstance(f, VertexFunction):
+        items = ((repr(v), c) for v, c in f.data.items())
+    else:
+        items = ((repr(o), repr(t), c) for (o, t), c in f.data.items())
+    return sorted(repr(item) for item in items)
+
+
+def test_operators_pinned():
+    rng = random.Random(101)
+    digest = hashlib.sha256()
+    for p in (2, 3, 5):
+        for _ in range(3):
+            phi = random_vertex_function(rng, p, terms=6)
+            outs = [hecke_T(phi)]
+            for eps in (1, -1):
+                c = random_edge_function(rng, p, eps, terms=6)
+                outs += [delta(c), delta_star(phi, eps)]
+            c = random_edge_function(rng, p, 1, terms=6)
+            for alpha in (1, -1, 2):
+                outs += [tilde_delta_down(alpha, c), tilde_delta_up(alpha, phi),
+                         rho_times(alpha, phi)]
+            for f in outs:
+                digest.update("\n".join(_lines(f)).encode() + b"\n--\n")
+    assert digest.hexdigest() == OPERATOR_DIGEST
+
+
+def _assert_upward(c):
+    assert c.data
+    for o, t in c.data:
+        assert t.n == o.n + 1 and distance(o, t) == 1
+
+
+def test_edge_functions_store_upward_pairs():
+    rng = random.Random(103)
+    for p in (2, 3, 5):
+        verts = sorted(ball_vertices(p, 1), key=repr)
+        phi = random_vertex_function(rng, p, radius=1)
+        for sign in (1, -1):
+            _assert_upward(delta_star(phi, sign))
+            c = EdgeFunction(p, sign)
+            for v in verts:
+                for w in neighbors(v):
+                    c.add_to(TreeEdge(v, w), rng.randint(1, 5))
+            _assert_upward(c)
+        _assert_upward(tilde_delta_up(Fraction(2), phi))
