@@ -21,11 +21,12 @@ from .suite import (
     criterion_determinant, criterion_steinberg, criterion_tree_identities,
     run_suite,
 )
-from .tree import ball_of_vertex, ball_vertices, neighbors, vertex_from_ball
+from .tree import ball_vertices, distance, neighbors
 
 MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
 MAX_DET_SIZE = 6        # the expansion sums over m! permutations
 MAX_TREE_RADIUS = 3     # a ball of radius 3 at p = 13 holds 2,563 vertices
+MAX_PREC = 200          # the j-series work grows faster than linearly in prec
 
 
 def _emit(args, ok, details, json_only=None):
@@ -121,8 +122,9 @@ def cmd_tree(args, parser):
     ok = True
     if args.check:
         for v in verts:
-            ok &= len(neighbors(v)) == args.p + 1
-            ok &= vertex_from_ball(ball_of_vertex(v)) == v
+            ns = neighbors(v)
+            ok &= len(set(ns)) == args.p + 1
+            ok &= all(distance(v, w) == 1 for w in ns)
     edges = sum(1 for v in verts for w in neighbors(v) if w in verts) // 2
     return _emit(args, ok, {"p": args.p, "radius": args.radius,
                             "vertices": len(verts), "edges": edges})
@@ -185,7 +187,7 @@ def _load_curve_arg(args, parser, split_for=None):
     _check_p(parser, args.p)
     if args.p == 2:   # the measure and the p-adic logarithm need an odd p
         parser.error("--p must be odd")
-    _check_range(parser, "--prec", args.prec, 1)
+    _check_range(parser, "--prec", args.prec, 1, MAX_PREC)
     if "level" in args:
         _check_range(parser, "--level", args.level, 1, MAX_LEVEL)
     try:

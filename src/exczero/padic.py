@@ -19,8 +19,6 @@ DEFAULT_PREC = 20
 def ord_p(x, p):
     """Additive p-adic valuation of an integer or Fraction (both carry
     numerator and denominator); None for zero."""
-    if isinstance(x, PadicNumber):
-        return x.val
     num, den = x.numerator, x.denominator
     if num == 0:
         return None

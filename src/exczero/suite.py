@@ -19,7 +19,7 @@ from .measures import (
 from .padic import from_rational, log_iwasawa
 from .pipeline import exceptional_zero_report, mtt_measure, total_mass_report
 from .steinberg import EllSpec, coboundary_check, z_ell
-from .tree import TreeEdge, ball_vertices, neighbors
+from .tree import ball_vertices, neighbors
 from .treerep import (
     EdgeFunction, VertexFunction, delta, delta_star, hecke_T, rho_times,
     tilde_delta_down, tilde_delta_up,
@@ -52,7 +52,7 @@ def _random_edge_function(rng, p, sign, verts):
     c = EdgeFunction(p, sign)
     for _ in range(4):
         v = rng.choice(verts)
-        c.add_to(TreeEdge(v, rng.choice(neighbors(v))), rng.randint(-5, 5))
+        c.add_to((v, rng.choice(neighbors(v))), rng.randint(-5, 5))
     return c
 
 

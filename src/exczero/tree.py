@@ -1,25 +1,23 @@
-"""The Bruhat-Tits tree of PGL_2(Q_p): its vertices and edges, their
-neighbours and distances, and the balls of vertices around a center.
+"""The Bruhat-Tits tree of PGL_2(Q_p): its vertices, their neighbours and
+distances, and the balls of vertices around the base vertex.
 
 A vertex is a homothety class of Z_p-lattices in Q_p^2.  The canonical form
 (n, b) denotes the class of the lattice spanned by (p^{-n}, 0) and (b, 1)
-with b reduced mod p^{-n} Z_p.  The apartment vertex [O + p^n O] is (n, 0),
-and the height of (n, b) is n, one up towards infinity and one down towards
-each of its p children.
+with b reduced mod p^{-n} Z_p by reduce_mod_power.  The apartment vertex
+[O + p^n O] is (n, 0), and the height of (n, b) is n, one up towards
+infinity and one down towards each of its p children.  An edge is the pair
+(origin, target) of a vertex and one of its neighbours.
 
-Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p, the value
-type Ball with its center reduced mod p^depth Z_p by reduce_mod_power.
+Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p.
 """
 
 from fractions import Fraction
 from operator import itemgetter
 
 from .padic import ord_p
-from .value import Value
 
 __all__ = [
-    "Ball", "TreeVertex", "TreeEdge", "base_vertex", "vertex_from_ball",
-    "ball_of_vertex", "neighbors", "distance", "ball_vertices",
+    "TreeVertex", "base_vertex", "neighbors", "distance", "ball_vertices",
     "reduce_mod_power",
 ]
 
@@ -27,8 +25,6 @@ __all__ = [
 def reduce_mod_power(x, m, p):
     """Canonical representative of x mod p^m Z_p, in [0, p^m), for x rational
     and any integer m (the representative has p-power denominator)."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     # write x = num / (p^k * c) with gcd(c, p) = 1
     num, c, k = x.numerator, x.denominator, 0
     while c % p == 0:
@@ -38,18 +34,6 @@ def reduce_mod_power(x, m, p):
         return Fraction(0)
     mod = p ** (m + k)
     return Fraction(num * pow(c, -1, mod) % mod, p ** k)
-
-
-class Ball(Value):
-    """Additive ball center + p^depth * Z_p (depth any integer)."""
-    __slots__ = _fields = ("p", "center", "depth")
-
-    def __init__(self, p, center, depth):
-        self.p, self.depth = p, depth
-        self.center = reduce_mod_power(center, depth, p)
-
-    def __repr__(self):
-        return f"Ball({self.center} + {self.p}^{self.depth}*O)"
 
 
 class TreeVertex(tuple):
@@ -76,33 +60,8 @@ def _vertex(key):
     return tuple.__new__(TreeVertex, key)
 
 
-class TreeEdge(tuple):
-    """The oriented edge (origin, target) of two adjacent vertices."""
-    __slots__ = ()
-    origin, target = (property(itemgetter(i)) for i in range(2))
-
-    def __new__(cls, origin, target):
-        assert distance(origin, target) == 1, "not an edge"
-        return tuple.__new__(cls, (origin, target))
-
-    def reverse(self):
-        return tuple.__new__(TreeEdge, (self.target, self.origin))
-
-    def __repr__(self):
-        return f"E({self.origin} -> {self.target})"
-
-
 def base_vertex(p):
     return TreeVertex(p, 0, Fraction(0))
-
-
-def ball_of_vertex(v):
-    """The ball of Q_p corresponding to v: b + p^{-n} Z_p."""
-    return Ball(v.p, v.b, -v.n)
-
-
-def vertex_from_ball(ball):
-    return TreeVertex(ball.p, -ball.depth, ball.center)
 
 
 def neighbors(v):
@@ -133,11 +92,11 @@ def distance(v, w):
     return -n - m - 2 * join
 
 
-def ball_vertices(p, radius, center=None):
-    """All vertices within the given tree distance of the center (default v_0)."""
-    center = center or base_vertex(p)
-    seen = {center}
-    frontier = [center]
+def ball_vertices(p, radius):
+    """All vertices within the given tree distance of the base vertex."""
+    v0 = base_vertex(p)
+    seen = {v0}
+    frontier = [v0]
     for _ in range(radius):
         nxt = []
         for v in frontier:

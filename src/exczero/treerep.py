@@ -1,11 +1,12 @@
 """Finitely supported functions on the tree over exact coefficients, and
 the operators delta, delta*_+-, T and their weighted variants delta~_rho,
 delta~^rho and rho, rho = alpha^h: the tree operator identities of the
-suite's first criterion."""
+suite's first criterion.  An edge is the pair (origin, target) of a vertex
+and one of its neighbours."""
 
 from fractions import Fraction
 
-from .tree import TreeEdge, neighbors
+from .tree import neighbors
 
 __all__ = [
     "VertexFunction", "EdgeFunction", "delta", "delta_star", "hecke_T",
@@ -61,7 +62,8 @@ class VertexFunction:
 
 def _canonical(e):
     """Store each geometric edge with the upward orientation."""
-    return (e, 1) if e.target.n == e.origin.n + 1 else (e.reverse(), -1)
+    o, t = e
+    return (e, 1) if t.n == o.n + 1 else ((t, o), -1)
 
 
 class EdgeFunction:
@@ -122,23 +124,23 @@ class EdgeFunction:
 def delta(c):
     """delta(c)(v) = sum over edges with target v of c(e)."""
     out = {}
-    for e, val in c.data.items():
-        out[e.target] = out.get(e.target, 0) + val
-        out[e.origin] = out.get(e.origin, 0) + val * c._flip
+    for (o, t), val in c.data.items():
+        out[t] = out.get(t, 0) + val
+        out[o] = out.get(o, 0) + val * c._flip
     return VertexFunction(c.p, out)
 
 
 def _edges_near(phi):
     """Each geometric edge with an end in the support of phi, once, upward."""
-    return dict.fromkeys(TreeEdge(v, w) if w.n > v.n else TreeEdge(w, v)
+    return dict.fromkeys((v, w) if w.n > v.n else (w, v)
                          for v in phi.data for w in neighbors(v))
 
 
 def delta_star(phi, sign):
     """delta*_+-(phi)(e) = phi(t(e)) -+ phi(o(e))."""
     out = EdgeFunction(phi.p, sign)
-    for e in _edges_near(phi):
-        out.set(e, phi(e.target) - sign * phi(e.origin))
+    for o, t in _edges_near(phi):
+        out.set((o, t), phi(t) - sign * phi(o))
     return out
 
 
@@ -162,21 +164,19 @@ def _rho(alpha, v):
 def tilde_delta_down(alpha, c):
     """delta~_rho(c)(v) = sum over t(e)=v of rho(o(e)) c(e), rho = alpha^h."""
     out = {}
-    for e, val in c.data.items():
+    for (o, t), val in c.data.items():
         # upward orientation: contributes at the target with weight rho(origin),
         # and with the reversed edge at the origin with weight rho(target)
-        out[e.target] = out.get(e.target, 0) + _rho(alpha, e.origin) * val
-        out[e.origin] = (out.get(e.origin, 0)
-                         + _rho(alpha, e.target) * val * c._flip)
+        out[t] = out.get(t, 0) + _rho(alpha, o) * val
+        out[o] = out.get(o, 0) + _rho(alpha, t) * val * c._flip
     return VertexFunction(c.p, out)
 
 
 def tilde_delta_up(alpha, phi):
     """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e))."""
     out = EdgeFunction(phi.p, 1)
-    for e in _edges_near(phi):
-        out.set(e, _rho(alpha, e.origin) * phi(e.target)
-                - _rho(alpha, e.target) * phi(e.origin))
+    for o, t in _edges_near(phi):
+        out.set((o, t), _rho(alpha, o) * phi(t) - _rho(alpha, t) * phi(o))
     return out
 
 

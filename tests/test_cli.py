@@ -221,10 +221,13 @@ BAD_INPUT = [
     ["local-integral", "--p", "3", "--alpha", "1", "--t", "5"],
     ["local-integral", "--p", "3", "--alpha", "1", "--n-max", "-1"],
     ["linv", "--curve", CURVE11, "--p", "11", "--prec", "0"],
+    ["linv", "--curve", CURVE11, "--p", "11", "--prec", "201"],
     ["interp", "--curve", CURVE11, "--p", "3", "--level", "0"],
     ["interp", "--curve", CURVE11, "--p", "3", "--prec", "0"],
+    ["interp", "--curve", CURVE11, "--p", "3", "--prec", "201"],
     ["ezero", "--curve", CURVE11, "--p", "11", "--level", "0"],
     ["ezero", "--curve", CURVE11, "--p", "11", "--prec", "0"],
+    ["ezero", "--curve", CURVE11, "--p", "11", "--prec", "201"],
     ["tree", "--p", "13", "--radius", "4"],
     ["tree", "--p", "3", "--radius", "-1"],
     ["tree-rep", "--p", "3", "--radius", "0"],

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from exczero.tree import (
-    TreeEdge, TreeVertex, ball_vertices, base_vertex, distance, neighbors,
+    TreeVertex, ball_vertices, base_vertex, distance, neighbors,
 )
 from exczero.treerep import (
     EdgeFunction, VertexFunction, delta, delta_star, hecke_T, rho_times,
@@ -30,18 +30,17 @@ def random_edge_function(rng, p, sign, radius=2, terms=4):
     for _ in range(terms):
         v = rng.choice(verts)
         w = rng.choice(neighbors(v))
-        c.add_to(TreeEdge(v, w), Fraction(rng.randint(-5, 5)))
+        c.add_to((v, w), Fraction(rng.randint(-5, 5)))
     return c
 
 
 def test_edge_function_orientation():
     p = 3
     v, w = base_vertex(p), TreeVertex(p, 1, 0)
-    e = TreeEdge(v, w)
-    anti = EdgeFunction(p, 1).set(e, 2)
-    assert anti(e) == 2 and anti(e.reverse()) == -2
-    sym = EdgeFunction(p, -1).set(e, 2)
-    assert sym(e) == 2 and sym(e.reverse()) == 2
+    anti = EdgeFunction(p, 1).set((v, w), 2)
+    assert anti((v, w)) == 2 and anti((w, v)) == -2
+    sym = EdgeFunction(p, -1).set((v, w), 2)
+    assert sym((v, w)) == 2 and sym((w, v)) == 2
 
 
 def test_delta_delta_star_composite():
@@ -245,6 +244,6 @@ def test_edge_functions_store_upward_pairs():
             c = EdgeFunction(p, sign)
             for v in verts:
                 for w in neighbors(v):
-                    c.add_to(TreeEdge(v, w), rng.randint(1, 5))
+                    c.add_to((v, w), rng.randint(1, 5))
             _assert_upward(c)
         _assert_upward(tilde_delta_up(Fraction(2), phi))

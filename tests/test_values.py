@@ -1,14 +1,11 @@
-"""Value semantics of the small immutable types: normalization, field-wise
-equality within one class, and a hash that agrees with it."""
-
-from fractions import Fraction
+"""Value semantics of the small immutable types: field-wise equality within
+one class, and a hash that agrees with it."""
 
 import pytest
 
 from exczero.curves import EllipticCurve
 from exczero.padic import DEFAULT_PREC
 from exczero.steinberg import EllSpec
-from exczero.tree import Ball
 from exczero.value import Value
 
 
@@ -20,38 +17,20 @@ def _differ(x, y):
     assert x != y and not x == y
 
 
-def test_ball_normalizes_its_center():
-    b = Ball(5, Fraction(37, 1), 2)     # 37 = 12 mod 25
-    assert b.center == Fraction(12) and type(b.center) is Fraction
-    assert (b.p, b.depth) == (5, 2)
-    assert Ball(3, 7, 0).center == 0
-    assert Ball(3, Fraction(1, 3), 1).center == Fraction(1, 3)
-    assert Ball(3, Fraction(10, 3), 1).center == Fraction(1, 3)
-
-
-def test_ball_equality_and_hash():
-    _same(Ball(5, 37, 2), Ball(5, Fraction(12), 2))
-    _same(Ball(5, Fraction(-1, 5), 1), Ball(5, Fraction(24, 5), 1))
-    _differ(Ball(5, 12, 2), Ball(5, 12, 3))
-    _differ(Ball(5, 1, 1), Ball(7, 1, 1))
-    _differ(Ball(5, 1, 1), Ball(5, 2, 1))
-    assert len({Ball(3, x, 1) for x in range(9)}) == 3
-
-
 class _Other(Value):
-    """A Value with Ball's fields."""
-    __slots__ = _fields = ("p", "center", "depth")
+    """A Value with EllSpec's fields."""
+    __slots__ = _fields = ("kind", "p", "prec")
 
-    def __init__(self, p, center, depth):
-        self.p, self.center, self.depth = p, center, depth
+    def __init__(self, kind, p, prec):
+        self.kind, self.p, self.prec = kind, p, prec
 
 
-def test_ball_never_equals_another_value_with_the_same_fields():
-    b, o = Ball(5, Fraction(1), 1), _Other(5, Fraction(1), 1)
-    assert b._key() == o._key()
-    _differ(b, o)
-    _differ(o, b)
-    assert len({b, o}) == 2
+def test_ellspec_never_equals_another_value_with_the_same_fields():
+    e, o = EllSpec("ord", 5, 8), _Other("ord", 5, 8)
+    assert e._key() == o._key()
+    _differ(e, o)
+    _differ(o, e)
+    assert len({e, o}) == 2
 
 
 def test_ellspec_equality_ignores_zero():
@@ -88,4 +67,3 @@ def test_reprs():
     assert repr(E) == ("EllipticCurve(label='11a1', N=11, a1=0, a2=-1, a3=1,"
                        " a4=-10, a6=-20)")
     assert repr(EllSpec("log", 5, 8)) == "EllSpec(kind='log', p=5, prec=8)"
-    assert repr(Ball(5, 37, 2)) == "Ball(12 + 5^2*O)"
