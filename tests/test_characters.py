@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -277,3 +278,37 @@ def test_all_primitive_characters_match_the_conductor_filter(p, f):
         return [(chi.f, {u: (v.level, v.terms, v.den)
                          for u, v in chi.unit_table.items()}) for chi in chars]
     assert tables(all_primitive_characters(p, f)) == tables(old)
+
+
+# -- the characters pinned by their values ------------------------------------
+
+def _digest_values(chi, f):
+    """The values of chi as (level, sorted terms, den), whatever the storage:
+    chi(u) at every unit u mod p^f, tau(chi), and the unit integrals at
+    a = p^n for -(f + 2) <= n <= 0 and at a = u / p^k for u in (1, 2, p + 1)
+    and 1 <= k <= f + 2."""
+    p = chi.p
+    values = [chi.value_at_unit(u) for u in range(1, p ** f) if u % p]
+    values.append(gauss_sum(chi))
+    points = [Fraction(p) ** n for n in range(-(f + 2), 1)]
+    points += [Fraction(u, p ** k) for u in (1, 2, p + 1)
+               for k in range(1, f + 3)]
+    values += [unit_psi_chi_integral(chi, a) for a in points]
+    return [(v.level, sorted(v.terms.items()), v.den) for v in values]
+
+
+# sha256[:12] of the 3544 values above over every primitive character mod p^f,
+# (p, f) in {3, 5, 7} x {1, 2} and (3, 3), in all_primitive_characters'
+# order, then the trivial character (f = 0) at p = 3, 5, 7
+CHARACTERS_DIGEST = "6683560511d4"
+
+
+def test_characters_digest_pinned():
+    vals = []
+    for p, f in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (3, 3)):
+        for chi in all_primitive_characters(p, f):
+            vals.append(_digest_values(chi, f))
+    for p in (3, 5, 7):
+        vals.append(_digest_values(Quasicharacter(p, t=1, f=0), 0))
+    digest = hashlib.sha256(repr(vals).encode()).hexdigest()[:12]
+    assert digest == CHARACTERS_DIGEST
