@@ -4,6 +4,7 @@ L-factors, the Euler factors e(alpha, chi), and sqrt(q) in Q(zeta_4q)."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
@@ -11,10 +12,9 @@ from .padic import ord_p
 
 __all__ = [
     "AdditiveCharacterPsi", "Quasicharacter", "unit_psi_chi_integral",
-    "gauss_sum",
-    "mellin_closed_form", "euler_factor", "local_L",
-    "trivial_character", "character_from_log", "all_primitive_characters",
-    "legendre_character", "primitive_root", "sqrt_q",
+    "gauss_sum", "mellin_closed_form", "euler_factor", "local_L",
+    "all_primitive_characters", "legendre_character", "primitive_root",
+    "sqrt_q",
 ]
 
 
@@ -42,35 +42,36 @@ def _psi_class(p, x):
     return pk, x.numerator * pow(den, -1, pk) % pk
 
 
-def primitive_root(p, f):
-    """The least generator of (Z/p^f)^* for odd p: a generator mod p^2 (mod
-    p for f = 1) generates mod every power of p."""
-    assert p % 2 == 1 and f >= 1
-    m = p ** min(f, 2)
-    return next(g for g in range(2, m)
-                if g % p and _mult_order(g, m) == m - m // p)
+def primitive_root(p):
+    """The least generator mod p^2 of odd p: it generates mod every power
+    of p."""
+    assert p % 2 == 1
+    m = p * p
+    return next(g for g in range(2, m) if g % p
+                and len({pow(g, j, m) for j in range(m - p)}) == m - p)
 
 
-def _mult_order(g, m):
-    x, k = g % m, 1
-    while x != 1:
-        x = x * g % m
-        k += 1
-    return k
+@lru_cache(maxsize=None)
+def _log_table(p, f):
+    """{g^j mod p^f: j} for g = primitive_root(p)."""
+    q, g = p ** f, primitive_root(p)
+    return {pow(g, j, q): j for j in range(q - q // p)}
 
 
 class Quasicharacter:
-    """A character of Q_p^*: value t at p plus a finite table on units.
+    """The character of Q_p^* with chi(p) = t and chi(g^j) = zeta_phi^(k j)
+    on the units, g = primitive_root(p), phi = phi(p^f).
 
-    The unit table is stored at the true conductor p^f (primitive by
-    construction); f = 0 means unramified.
+    (f, k) is lowered to the true conductor p^f: chi factors through
+    p^(f-1) exactly when p | k, and k = 0 means unramified (f = 0).
     """
 
-    def __init__(self, p, t, f, unit_table=None):
-        self.p = p
+    def __init__(self, p, f=0, k=0, t=1):
+        k %= p ** f - p ** f // p
+        while f >= 2 and k % p == 0:
+            f, k = f - 1, k // p
+        self.p, self.f, self.k = p, f if k else 0, k
         self.t = as_cyclotomic(t)
-        self.f, self.unit_table = _primitivize(p, f, dict(unit_table or {}))
-        self.unit_integrals = {}   # kept by unit_psi_chi_integral
 
     def value_at_unit(self, u):
         """chi(u) for a p-adic unit u (rational, prime-to-p denominator)."""
@@ -80,7 +81,8 @@ class Quasicharacter:
         if not isinstance(u, int):
             u = Fraction(u)
             u = u.numerator * pow(u.denominator, -1, m)
-        return self.unit_table[u % m]
+        phi = m - m // self.p
+        return zeta(phi, self.k * _log_table(self.p, self.f)[u % m] % phi)
 
     def __call__(self, x):
         x = Fraction(x)
@@ -89,94 +91,61 @@ class Quasicharacter:
         return self.t ** v * self.value_at_unit(x / Fraction(self.p) ** v)
 
     def inverse(self):
-        table = {u: 1 / c for u, c in self.unit_table.items()}
-        return Quasicharacter(self.p, 1 / self.t, self.f, table)
+        return Quasicharacter(self.p, self.f, -self.k, 1 / self.t)
 
     def at_minus_one(self):
         return self.value_at_unit(-1)
 
     def __repr__(self):
-        return f"Quasicharacter(p={self.p}, f={self.f}, t={self.t!r})"
+        return (f"Quasicharacter(p={self.p}, f={self.f}, k={self.k}, "
+                f"t={self.t!r})")
 
 
-def _primitivize(p, f, table):
-    """Drop the conductor exponent while the table factors through a lower level."""
-    while f >= 1:
-        lower = p ** (f - 1)
-        first = {}
-        for u, v in table.items():
-            first.setdefault(u % lower, v)
-        if any(v != first[u % lower] for u, v in table.items()):
-            return f, table
-        # at f = 1 every value is chi(1) = 1: chi is unramified
-        table, f = first if f > 1 else {}, f - 1
-    return f, table
-
-
-def trivial_character(p, t=1):
-    return Quasicharacter(p, t, 0)
-
-
-def character_from_log(p, f, k, t=1):
-    """The character of conductor dividing p^f sending a fixed primitive root
-    g to zeta_phi^k, extended by chi(p) = t."""
-    assert f >= 1 and p % 2 == 1
-    q = p ** f
-    phi = q - q // p
-    g = primitive_root(p, f)
-    table = {pow(g, j, q): zeta(phi, k * j % phi) for j in range(phi)}
-    return Quasicharacter(p, t, f, table)
-
-
-def all_primitive_characters(p, f, t=1):
+def all_primitive_characters(p, f):
     """All characters of conductor exactly p^f (odd p): those with p ∤ k for
     f >= 2, as g^(phi/p) generates 1 + p^(f-1) Z_p, and k != 0 for f = 1."""
     assert f >= 1
     q = p ** f
-    phi = q - q // p
-    return [character_from_log(p, f, k, t) for k in range(phi)
+    return [Quasicharacter(p, f, k) for k in range(q - q // p)
             if (k % p if f >= 2 else k)]
 
 
-def legendre_character(p, t=1):
+def legendre_character(p):
     """The quadratic character mod p."""
-    return character_from_log(p, 1, (p - 1) // 2, t)
+    return Quasicharacter(p, 1, (p - 1) // 2)
 
 
 def unit_psi_chi_integral(chi, a):
     """int over U of psi(a u) chi(u) d*u (vol(U) = 1), exactly.
 
     With a = b / p^k in Q_p/Z_p, psi(a u) = zeta_(p^k)^(b u) is constant
-    mod p^k and chi(u) mod p^f.  For k <= m = max(f, 1) the mean runs over
-    the units mod p^m, counted in integers by (u mod p^f, b u mod p^k); the
-    result is built once, at the level L of zeta_(p^k) and of chi's values,
-    as an int histogram of those counts over one denominator: phi(p^m) for
-    values that are roots of unity.  It is kept on chi by the psi class of
-    a, so each class is counted once per character."""
-    p = chi.p
-    pk, b = psi_class = _psi_class(p, a)
-    if psi_class in chi.unit_integrals:
-        return chi.unit_integrals[psi_class]
-    pf = p ** chi.f
-    pm = max(pf, p)
+    mod p^k and chi(u) mod p^f.  The value depends on chi's unit part
+    (p, f, k) and the psi class (p^k, b) only, and is kept by them, so
+    characters that differ in t share it."""
+    return _unit_integral(chi.p, chi.f, chi.k, *_psi_class(chi.p, a))
+
+
+@lru_cache(maxsize=None)
+def _unit_integral(p, f, k, pk, b):
+    """The mean of zeta_phi^(k log u) zeta_pk^(b u) over the units u mod p^m,
+    m = max(f, 1), phi = phi(p^f), log u = j for u = g^j mod p^f: the units
+    are counted in integers by (k log u mod phi, b u mod p^k), and the
+    result is one int histogram at level lcm(p^k, phi) over phi(p^m)."""
+    pf = p ** f
+    pm, phi = max(pf, p), pf - pf // p
     if pk > pm:
         # u -> u + p^(k-1) j fixes chi(u) and turns psi(a u) through every
         # p-th root of unity, so the mean is 0
         return Cyclotomic.from_rational(0)
-    counts = Counter((u % pf, b * u % pk) for u in range(1, pm) if u % p)
-    values = {key: chi.value_at_unit(key) for key, _ in counts}
-    L = lcm(pk, *(v.level for v in values.values()))
-    den = lcm(*(v.den for v in values.values()))
-    sums = {}
-    for (key, e), n in counts.items():
-        v = values[key]
-        step, vstep, n = L // pk, L // v.level, n * (den // v.den)
-        for ev, c in v.terms.items():
-            x = (e * step + ev * vstep) % L
-            sums[x] = sums.get(x, 0) + n * c
-    units = pm - pm // p
-    x = chi.unit_integrals[psi_class] = Cyclotomic._of(L, sums, units * den)
-    return x
+    logs = _log_table(p, f) if f else {0: 0}
+    counts = Counter((k * logs[u % pf] % phi, b * u % pk)
+                     for u in range(1, pm) if u % p)
+    L = lcm(pk, phi)
+    step, vstep, sums = L // pk, L // phi, {}
+    for (ev, e), n in counts.items():
+        x = (e * step + ev * vstep) % L
+        sums[x] = sums.get(x, 0) + n
+    return Cyclotomic._of(L, sums, pm - pm // p)
 
 
 def gauss_sum(chi):

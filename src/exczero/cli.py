@@ -6,9 +6,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .characters import (
-    Quasicharacter, character_from_log, gauss_sum, sqrt_q, trivial_character,
-)
+from .characters import Quasicharacter, gauss_sum, sqrt_q
 from .curves import l_invariant, load_curve, reduction_type, tate_period
 from .localdist import mellin_mu_alpha, mellin_target
 from .measures import (
@@ -27,6 +25,7 @@ MAX_CONDUCTOR_EXP = 4   # p^f <= 13^4 keeps a Gauss sum within seconds
 MAX_DET_SIZE = 6        # the expansion sums over m! permutations
 MAX_TREE_RADIUS = 3     # a ball of radius 3 at p = 13 holds 2,563 vertices
 MAX_PREC = 200          # the j-series work grows faster than linearly in prec
+MAX_HEIGHT = 10 ** 6    # --t and --alpha: the float shell sum stays finite
 
 
 def _emit(args, ok, details, json_only=None):
@@ -64,8 +63,9 @@ def _parse_nonzero(parser, flag, spec):
         x = Fraction(spec)
     except (ValueError, ZeroDivisionError):
         x = 0
-    if x == 0:
-        parser.error(f"{flag} must be a nonzero rational, not {spec!r}")
+    if x == 0 or max(abs(x.numerator), x.denominator) > MAX_HEIGHT:
+        parser.error(f"{flag} must be a nonzero rational of numerator and "
+                     f"denominator <= {MAX_HEIGHT}, not {spec!r}")
     return x
 
 
@@ -78,10 +78,7 @@ def _parse_alpha(parser, spec, p):
 def cmd_gauss(args, parser):
     _check_p(parser, args.p)
     _check_conductor_exp(parser, "--conductor-exp", args.conductor_exp, args.p)
-    if args.conductor_exp == 0:
-        chi = trivial_character(args.p)
-    else:
-        chi = character_from_log(args.p, args.conductor_exp, args.char_spec)
+    chi = Quasicharacter(args.p, args.conductor_exp, args.char_spec)
     tau = gauss_sum(chi)
     tau_f = tau.to_complex()
     ok = abs(abs(tau_f) ** 2 - args.p ** chi.f) < 1e-9 or chi.f == 0
@@ -96,11 +93,7 @@ def cmd_local_integral(args, parser):
     _check_range(parser, "--n-max", args.n_max, 0)
     alpha = _parse_alpha(parser, args.alpha, args.p)
     t = _parse_nonzero(parser, "--t", args.t)
-    if args.char_f == 0:
-        chi = trivial_character(args.p, t)
-    else:
-        base = character_from_log(args.p, args.char_f, args.char_k)
-        chi = Quasicharacter(args.p, t, base.f, base.unit_table)
+    chi = Quasicharacter(args.p, args.char_f, args.char_k, t)
     try:
         got = mellin_mu_alpha(chi, alpha, n_max=args.n_max, exact=False)
     except ValueError as exc:   # the shell sum diverges

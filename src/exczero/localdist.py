@@ -6,9 +6,7 @@ one shell of it, and the closed-form target it interpolates."""
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import (
-    euler_factor, gauss_sum, local_L, unit_psi_chi_integral,
-)
+from .characters import euler_factor, gauss_sum, unit_psi_chi_integral
 from .cyclotomic import Cyclotomic
 
 __all__ = [
@@ -66,6 +64,11 @@ def mellin_mu_alpha(chi, alpha, n_max=40, *, exact=True):
 
 
 def mellin_target(chi, alpha):
-    """The closed-form target tau(chi) e(alpha, chi) L(1/2, pi_alpha x chi)."""
-    return gauss_sum(chi) * euler_factor(alpha, chi) \
-        * local_L(alpha, chi)
+    """The closed-form target tau(chi) e(alpha, chi) L(1/2, pi_alpha x chi):
+    tau(chi) alpha^-f for ramified chi; for unramified chi the zero 1 - t/alpha
+    of e, at t = alpha, cancels against the pole of L, which leaves
+    (1 - 1/(alpha t)) / (1 - alpha t / q), as 1/alpha = alpha at alpha = +-1."""
+    if chi.f:
+        return gauss_sum(chi) * euler_factor(alpha, chi)
+    at = chi.t * alpha
+    return (1 - 1 / at) / (1 - at * Fraction(1, chi.p))

@@ -7,8 +7,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .characters import (
-    Quasicharacter, all_primitive_characters, character_from_log,
-    euler_factor, gauss_sum, sqrt_q, trivial_character,
+    Quasicharacter, all_primitive_characters, euler_factor, gauss_sum, sqrt_q,
 )
 from .curves import EllipticCurve
 from .detident import det_fixedpointfree_expansion
@@ -100,7 +99,10 @@ def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
 
 # -- 2: closed form vs truncated shell sum ------------------------------------
 
-def criterion_mellin_closed_form(seed=0, tol=1e-8, quick=False):
+MELLIN_TOL = 1e-8          # |shell sum - closed form|, tail bound included
+
+
+def criterion_mellin_closed_form(seed=0, quick=False):
     from .characters import mellin_closed_form
     rng = random.Random(seed)
     per_p = 10 if quick else 50
@@ -111,38 +113,41 @@ def criterion_mellin_closed_form(seed=0, tol=1e-8, quick=False):
         for p in (3, 5, 7):
             pool = (all_primitive_characters(p, 1)
                     + all_primitive_characters(p, 2)
-                    + [trivial_character(p)])
+                    + [Quasicharacter(p)])
             for _ in range(per_p):
                 base = rng.choice(pool)
                 t = Fraction(rng.randint(1, 2 * p - 2), 2)  # 0 < |t| < p
                 if rng.random() < 0.5:
                     t = -t
-                chi = Quasicharacter(base.p, t, base.f, base.unit_table)
-                chi.unit_integrals = base.unit_integrals  # free of t
+                chi = Quasicharacter(p, base.f, base.k, t)
                 target = mellin_closed_form(chi).to_complex()
                 r = abs(float(t)) / p
                 n_max = 40
-                while r ** (n_max + 1) / (1 - r) > tol / 10:
+                while r ** (n_max + 1) / (1 - r) > MELLIN_TOL / 10:
                     n_max += 20
                 got = mellin_mu_alpha(chi, 1, n_max=n_max, exact=False)
                 err = abs(got.value - target)
-                assert got.tail_bound < tol
+                assert got.tail_bound < MELLIN_TOL
                 worst = max(worst, err)
                 count += 1
-        return worst < tol, {"chars": count, "worst_err": f"{worst:.2e}"}
+        return worst < MELLIN_TOL, {"chars": count,
+                                    "worst_err": f"{worst:.2e}"}
 
     return _timed("mellin_closed_form", run)
 
 
 # -- 3: interpolation against the Euler factor --------------------------------
 
-def criterion_interpolation(tol=1e-8, quick=False):
+INTERPOLATION_TOL = 1e-8   # |shell sum - target| + tail bound
+
+
+def criterion_interpolation(quick=False):
     def run():
         worst = 0.0
         checked = 0
         exceptional_exact = True
         for p in ((3,) if quick else (3, 5)):
-            chars = [trivial_character(p)] + all_primitive_characters(p, 1)
+            chars = [Quasicharacter(p)] + all_primitive_characters(p, 1)
             for alpha in (1, -1, sqrt_q(p)):
                 for chi in chars:
                     target = mellin_target(chi, alpha)
@@ -154,7 +159,7 @@ def criterion_interpolation(tol=1e-8, quick=False):
                         # the exceptional zero: the Euler factor vanishes
                         exceptional_exact &= (
                             euler_factor(1, chi) == 0 and target == 0)
-        ok = worst < tol and exceptional_exact
+        ok = worst < INTERPOLATION_TOL and exceptional_exact
         return ok, {"checked": checked, "worst_err": f"{worst:.2e}",
                     "exceptional_exact": exceptional_exact}
 
@@ -163,21 +168,23 @@ def criterion_interpolation(tol=1e-8, quick=False):
 
 # -- 4: Gauss sum identities ---------------------------------------------------
 
-def criterion_gauss_identities(tol=1e-9, quick=False):
+GAUSS_TOL = 1e-9           # ||tau|^2 - p| in floats
+
+
+def criterion_gauss_identities(quick=False):
     def run():
         exact_ok = True
         worst = 0.0
         count = 0
         for p in ((3, 5) if quick else (3, 5, 7, 11)):
             for k in range(1, p - 1):
-                chi = character_from_log(p, 1, k)
-                chi_inv = character_from_log(p, 1, p - 1 - k)
+                chi = Quasicharacter(p, 1, k)
                 tau = gauss_sum(chi)
-                exact_ok &= tau * gauss_sum(chi_inv) \
-                    == chi.value_at_unit(p - 1) * p
+                exact_ok &= tau * gauss_sum(chi.inverse()) \
+                    == chi.at_minus_one() * p
                 worst = max(worst, abs(abs(tau.to_complex()) ** 2 - p))
                 count += 1
-        return exact_ok and worst < tol, {
+        return exact_ok and worst < GAUSS_TOL, {
             "chars": count, "exact_ok": exact_ok, "worst_abs2": f"{worst:.2e}"}
 
     return _timed("gauss_identities", run)

@@ -24,20 +24,20 @@ def test_01_tree_operator_identities():
 
 
 def test_02_mellin_closed_form_vs_shell_sum():
-    r = suite.criterion_mellin_closed_form(seed=2024, tol=1e-8)
+    r = suite.criterion_mellin_closed_form(seed=2024)
     assert r.ok, r.details
     assert r.details["chars"] == 150
     assert r.elapsed < 10
 
 
 def test_03_interpolation_against_euler_factor():
-    r = suite.criterion_interpolation(tol=1e-8)
+    r = suite.criterion_interpolation()
     assert r.ok, r.details
     assert r.details["exceptional_exact"]
 
 
 def test_04_gauss_sum_identities():
-    r = suite.criterion_gauss_identities(tol=1e-9)
+    r = suite.criterion_gauss_identities()
     assert r.ok, r.details
     assert r.details["exact_ok"]
     # all p-2 primitive characters mod p for p in {3,5,7,11}: 1+3+5+9

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exczero.characters import (
-    AdditiveCharacterPsi, Quasicharacter, all_primitive_characters,
-    character_from_log, euler_factor, gauss_sum, legendre_character, local_L,
-    mellin_closed_form, sqrt_q, trivial_character,
+    AdditiveCharacterPsi, Quasicharacter, _unit_integral,
+    all_primitive_characters, euler_factor, gauss_sum, legendre_character,
+    local_L, mellin_closed_form, primitive_root, sqrt_q,
 )
-from exczero.cyclotomic import Cyclotomic, zeta
+from exczero.cyclotomic import zeta
 from exczero.localdist import (
     mellin_mu_alpha, mellin_target, unit_psi_chi_integral,
 )
@@ -34,7 +34,7 @@ def test_psi_is_additive(p, x, y):
 
 
 def test_gauss_sum_trivial_is_one():
-    assert gauss_sum(trivial_character(7)) == 1
+    assert gauss_sum(Quasicharacter(7)) == 1
 
 
 def test_gauss_sum_legendre_5():
@@ -71,42 +71,45 @@ def test_tau_identity_higher_conductor(p, f):
 
 
 def test_imprimitive_input_is_renormalized():
-    # a mod-25 table that only depends on u mod 5 must come out with f = 1
-    leg = legendre_character(5)
-    table = {u: leg.value_at_unit(u % 5) for u in range(1, 25) if u % 5}
-    chi = Quasicharacter(5, 1, 2, table)
-    assert chi.f == 1
-    assert chi.value_at_unit(2) == leg.value_at_unit(2)
-    # fully trivial table collapses to the unramified character
-    one = Cyclotomic.from_rational(1)
-    triv = Quasicharacter(5, 1, 2, {u: one for u in range(1, 25) if u % 5})
-    assert triv.f == 0
+    # (f, k) = (2, 5) at p = 5 factors through 5: the f = 1 character k = 1,
+    # with the values zeta_20^(5 j) at g^j that (2, 5) names
+    chi = Quasicharacter(5, 2, 5)
+    assert (chi.f, chi.k) == (1, 1)
+    g = primitive_root(5)
+    for j in range(20):
+        assert chi.value_at_unit(pow(g, j, 25)) == zeta(20, 5 * j)
+        assert chi.value_at_unit(pow(g, j, 25)) \
+            == Quasicharacter(5, 1, 1).value_at_unit(pow(g, j, 5))
+    # (f, k) -> (f - 1, k / p) while p | k, and k = 0 is unramified
+    lowered = [Quasicharacter(5, 3, k) for k in (25, 50, 0)]
+    assert [(chi.f, chi.k) for chi in lowered] == [(1, 1), (1, 2), (0, 0)]
+    assert Quasicharacter(5, 2, 0).f == 0
 
 
 def test_mellin_closed_form_cases():
-    assert mellin_closed_form(trivial_character(5, 1)) == 0
-    assert mellin_closed_form(trivial_character(5, Fraction(2))) == Fraction(5, 6)
+    assert mellin_closed_form(Quasicharacter(5, t=1)) == 0
+    assert mellin_closed_form(Quasicharacter(5, t=Fraction(2))) == Fraction(5, 6)
     chi = legendre_character(5)
     assert mellin_closed_form(chi) == gauss_sum(chi)
     with pytest.raises(ValueError):
-        mellin_closed_form(trivial_character(5, Fraction(5)))
+        mellin_closed_form(Quasicharacter(5, t=Fraction(5)))
     with pytest.raises(ValueError):
-        mellin_closed_form(trivial_character(5, Fraction(7)))
+        mellin_closed_form(Quasicharacter(5, t=Fraction(7)))
 
 
 def test_euler_factor_table():
-    assert euler_factor(1, trivial_character(5)) == 0
-    assert euler_factor(-1, trivial_character(5)) == 2
+    assert euler_factor(1, Quasicharacter(5)) == 0
+    assert euler_factor(-1, Quasicharacter(5)) == 2
     chi2 = all_primitive_characters(5, 2)[0]
     assert euler_factor(Fraction(3), chi2) == Fraction(1, 9)
     # spherical alpha = 2, trivial chi: (1 - 1/2)(1 - 1/2) = 1/4
-    assert euler_factor(Fraction(2), trivial_character(5)) == Fraction(1, 4)
+    assert euler_factor(Fraction(2), Quasicharacter(5)) == Fraction(1, 4)
 
 
 def test_local_L_cases():
     assert local_L(1, legendre_character(5)) == 1
-    assert local_L(1, trivial_character(5)) == Fraction(5, 4)
-    assert local_L(Fraction(2), trivial_character(5)) == Fraction(10, 3)
+    assert local_L(1, Quasicharacter(5)) == Fraction(5, 4)
+    assert local_L(Fraction(2), Quasicharacter(5)) == Fraction(10, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
@@ -126,7 +129,7 @@ def test_character_multiplicativity():
 
 
 def test_quasicharacter_value_includes_uniformizer():
-    chi = legendre_character(5, t=Fraction(3))
+    chi = Quasicharacter(5, 1, 2, t=Fraction(3))   # the Legendre symbol
     assert chi(Fraction(50)) == 9 * chi.value_at_unit(2)
     assert chi(Fraction(1, 5)) == Fraction(1, 3)
 
@@ -181,7 +184,7 @@ ORACLE_CASES = [
 
 
 def _oracle_character(p, f, i):
-    return all_primitive_characters(p, f)[i] if f else trivial_character(p)
+    return all_primitive_characters(p, f)[i] if f else Quasicharacter(p)
 
 
 @pytest.mark.parametrize("p,f,i", ORACLE_CASES)
@@ -218,7 +221,7 @@ def _shell_characters(p, f):
     """Every primitive character mod p^f (t = 1), or for f = 0 the trivial
     character at t in {1, 2, -1/2}, with a recipe for a fresh copy."""
     if f == 0:
-        return [(trivial_character(p, t), lambda t=t: trivial_character(p, t))
+        return [(Quasicharacter(p, t=t), lambda t=t: Quasicharacter(p, t=t))
                 for t in (1, 2, Fraction(-1, 2))]
     return [(chi, lambda i=i: all_primitive_characters(p, f)[i])
             for i, chi in enumerate(all_primitive_characters(p, f))]
@@ -250,34 +253,62 @@ def test_exact_shell_sum_against_every_shell(p, f):
 
 @pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
 def test_kept_unit_integrals_match_a_fresh_character(p, f):
+    points = [Fraction(p) ** n for n in range(-(f + 2), 1)]
     for chi, fresh in _shell_characters(p, f):
         mellin_mu_alpha(chi, -1, n_max=2)
-        kept = dict(chi.unit_integrals)
-        # the closed form, a second alpha and a float sum read the kept values
+        kept = [unit_psi_chi_integral(chi, a) for a in points]
+        # the closed form, a second alpha, a float sum and a character that
+        # differs in t only compute no unit integral: they read the kept ones
+        misses = _unit_integral.cache_info().misses
         mellin_target(chi, 1)
         if abs(chi.t.to_complex()) < p:
             mellin_mu_alpha(chi, 1, n_max=3)
             mellin_mu_alpha(chi, 1, n_max=3, exact=False)
-        assert chi.unit_integrals.keys() == kept.keys()
-        assert all(chi.unit_integrals[k] is v for k, v in kept.items())
+        twin = Quasicharacter(p, chi.f, chi.k, 3 * chi.t)
+        mellin_target(twin, -1)
+        assert _unit_integral.cache_info().misses == misses
+        for x in (chi, twin):
+            assert all(unit_psi_chi_integral(x, a) is v
+                       for a, v in zip(points, kept))
+        # computed afresh, they are equal
+        _unit_integral.cache_clear()
         other = fresh()
-        for n in range(-(f + 2), 1):
-            a = Fraction(p) ** n
-            assert unit_psi_chi_integral(chi, a) \
-                == unit_psi_chi_integral(other, a), (p, f, n)
+        for a, v in zip(points, kept):
+            again = unit_psi_chi_integral(other, a)
+            assert again is not v and again == v, (p, f, a)
+
+
+def _conductor_by_scan(logs, q, p):
+    """The least c with chi(u) a function of u mod p^c, scanning the exponent
+    table {u: log_zeta chi(u)} of a character mod q = p^f (0: unramified)."""
+    c = 0
+    while True:
+        first = {}
+        if all(first.setdefault(u % p ** c, e) == e for u, e in logs.items()):
+            return c
+        c += 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_all_primitive_characters_match_the_conductor_filter(p, f):
+    # chi(g^j) = zeta_phi^(k j) by its definition, and its conductor by a
+    # scan of that table: the primitive ones are those of conductor p^f, in
+    # k order, and every (f, k) is lowered to the scanned conductor
     q = p ** f
-    old = [chi for chi in (character_from_log(p, f, k)
-                           for k in range(q - q // p)) if chi.f == f]
-
-    def tables(chars):
-        return [(chi.f, {u: (v.level, v.terms, v.den)
-                         for u, v in chi.unit_table.items()}) for chi in chars]
-    assert tables(all_primitive_characters(p, f)) == tables(old)
+    phi, g = q - q // p, primitive_root(p)
+    primitive = []
+    for k in range(phi):
+        logs = {pow(g, j, q): k * j % phi for j in range(phi)}
+        c = _conductor_by_scan(logs, q, p)
+        chi = Quasicharacter(p, f, k)
+        assert chi.f == c, (p, f, k)
+        assert all(chi.value_at_unit(u) == zeta(phi, e)
+                   for u, e in logs.items())
+        if c == f:
+            primitive.append(k)
+    assert [(chi.f, chi.k) for chi in all_primitive_characters(p, f)] \
+        == [(f, k) for k in primitive]
 
 
 # -- the characters pinned by their values ------------------------------------

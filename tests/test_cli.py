@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,38 @@ def test_local_integral(capsys):
     code, out = run(["local-integral", "--p", "3", "--alpha", "-1",
                      "--t", "2"], capsys)
     assert code == 0 and out.startswith("PASS")
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["--p", "5", "--alpha", "2", "--t", "2"], "target=3.7500000000+0.0000"),
+    (["--p", "3", "--alpha=1/1000", "--t=1/1000"],
+     "target=-999999.3333331111+0.0000"),
+])
+def test_local_integral_at_the_pole_of_L(argv, target, capsys):
+    # chi(p) = alpha: the zero of e(alpha, chi) cancels the pole of L
+    code, out = run(["local-integral", *argv], capsys)
+    assert code == 0 and out.startswith("PASS") and target in out
+
+
+HEIGHTS = ["1000000", "-1000000", "1/1000000", "-1/1000000"]
+
+
+@pytest.mark.parametrize("p,f", [("3", "0"), ("3", "1"), ("3", "4"),
+                                 ("13", "0"), ("13", "1")])
+def test_local_integral_at_the_height_cap(p, f, capsys):
+    # t and alpha at the corners of MAX_HEIGHT: a PASS or FAIL line, or
+    # exit 2 exactly when the shell sum diverges, |t alpha| >= p
+    for t in HEIGHTS:
+        for alpha in HEIGHTS:
+            argv = ["local-integral", "--p", p, "--char-f", f, f"--t={t}",
+                    f"--alpha={alpha}"]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            diverges = abs(Fraction(t) * Fraction(alpha)) >= int(p)
+            assert code in ((2,) if diverges else (0, 1)), argv
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -219,6 +252,8 @@ BAD_INPUT = [
     ["local-integral", "--p", "3", "--alpha", "1", "--t", "x"],
     ["local-integral", "--p", "3", "--alpha", "0"],
     ["local-integral", "--p", "3", "--alpha", "1", "--t", "5"],
+    ["local-integral", "--p", "3", "--alpha", "1", "--t=1/1000001"],
+    ["local-integral", "--p", "3", "--alpha=1/1000001"],
     ["local-integral", "--p", "3", "--alpha", "1", "--n-max", "-1"],
     ["linv", "--curve", CURVE11, "--p", "11", "--prec", "0"],
     ["linv", "--curve", CURVE11, "--p", "11", "--prec", "201"],

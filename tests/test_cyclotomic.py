@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exczero.characters import (
-    all_primitive_characters, character_from_log, gauss_sum, primitive_root,
-    sqrt_q,
+    Quasicharacter, all_primitive_characters, gauss_sum, primitive_root, sqrt_q,
 )
 from exczero.cyclotomic import Cyclotomic, zeta
 
@@ -21,11 +20,11 @@ FLOAT_TOL = 1e-9
 
 
 def _direct_gauss_sum(p, f, k):
-    """tau of character_from_log(p, f, k) by cmath alone: chi(g^j) is
+    """tau of Quasicharacter(p, f, k) by cmath alone: chi(g^j) is
     exp(2 pi i k j / phi) and psi(u / p^f) is exp(2 pi i u / p^f)."""
     q = p ** f
     phi = q - q // p
-    g = primitive_root(p, f)
+    g = primitive_root(p)
     total, u = 0j, 1
     for j in range(phi):
         total += cmath.exp(2j * cmath.pi * (u / q + k * j / phi))
@@ -54,7 +53,7 @@ def test_gauss_sum_to_complex_matches_direct_sum(p, f):
     q = p ** f
     phi = q - q // p
     for k in range(phi):
-        chi = character_from_log(p, f, k)
+        chi = Quasicharacter(p, f, k)
         if chi.f != f:
             continue
         got = gauss_sum(chi).to_complex()

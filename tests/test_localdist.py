@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from exczero.characters import (
-    all_primitive_characters, character_from_log, primitive_root, sqrt_q,
-    trivial_character,
+    Quasicharacter, all_primitive_characters, euler_factor, gauss_sum, local_L,
+    primitive_root, sqrt_q,
 )
 from exczero.cyclotomic import Cyclotomic
 from exczero.localdist import (
@@ -17,7 +17,7 @@ from exczero.localdist import (
 def test_unit_psi_integral_cases():
     # int_U psi(a x) d*x = 1, -1/(q-1), 0 as ord(a) is >= 0, = -1, <= -2
     for p in (2, 3, 7):
-        triv = trivial_character(p)
+        triv = Quasicharacter(p)
         assert unit_psi_chi_integral(triv, 1) == 1
         assert unit_psi_chi_integral(triv, Fraction(3 if p != 3 else 5)) == 1
         assert unit_psi_chi_integral(triv, Fraction(1, p)) == Fraction(-1, p - 1)
@@ -42,14 +42,14 @@ def test_ramified_shifted_integral_vanishes():
 
 
 def test_mellin_trivial_alpha_one_vanishes():
-    res = mellin_mu_alpha(trivial_character(3), 1, n_max=40)
+    res = mellin_mu_alpha(Quasicharacter(3), 1, n_max=40)
     assert abs(complex(res.value)) <= 1e-8
-    assert mellin_target(trivial_character(3), 1) == 0
+    assert mellin_target(Quasicharacter(3), 1) == 0
 
 
 def test_mellin_alpha_minus_one():
     # p = 5, chi trivial: target = 2 * L(1/2, pi_{-1}) = 2 * 5/6 = 5/3
-    chi = trivial_character(5)
+    chi = Quasicharacter(5)
     res = mellin_mu_alpha(chi, -1, n_max=40)
     assert mellin_target(chi, -1) == Fraction(5, 3)
     assert abs(complex(res.value) - 5 / 3) <= 1e-8
@@ -57,7 +57,7 @@ def test_mellin_alpha_minus_one():
 
 def test_mellin_float_alpha():
     # alpha = sqrt(5), unramified chi with t = 2, summed in float mode
-    chi = trivial_character(5, t=Fraction(2))
+    chi = Quasicharacter(5, t=Fraction(2))
     alpha = sqrt_q(5)
     # ratio |t alpha|/q = 2/sqrt(5) converges slowly; 220 shells suffice
     res = mellin_mu_alpha(chi, alpha, n_max=220, exact=False)
@@ -68,7 +68,7 @@ def test_mellin_float_alpha():
 def test_mellin_exact_at_sqrt_alpha():
     # the exact shell sum at alpha = sqrt(5), t = 1: within its tail bound
     # of the exact target, and equal to the float-mode sum
-    chi = trivial_character(5)
+    chi = Quasicharacter(5)
     alpha = sqrt_q(5)
     res = mellin_mu_alpha(chi, alpha, n_max=40)
     assert isinstance(res.value, Cyclotomic)
@@ -91,7 +91,7 @@ def test_exact_mellin_is_the_sum_of_its_shells():
     # shell_integral, for ramified and unramified chi, t and alpha off +-1
     for p, f in ((3, 1), (5, 1), (3, 2), (5, 0), (7, 0)):
         chars = (all_primitive_characters(p, f) if f
-                 else [trivial_character(p, t) for t in (1, 2, Fraction(1, 3))])
+                 else [Quasicharacter(p, t=t) for t in (1, 2, Fraction(1, 3))])
         for chi in chars[:4]:
             for alpha in (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)):
                 if abs(chi.t.to_complex()) * abs(alpha) >= p:
@@ -106,11 +106,11 @@ def test_exact_mellin_is_the_sum_of_its_shells():
 
 def test_mellin_divergence_guard():
     with pytest.raises(ValueError):
-        mellin_mu_alpha(trivial_character(3, t=Fraction(4)), 1)
+        mellin_mu_alpha(Quasicharacter(3, t=Fraction(4)), 1)
 
 
 def test_mellin_tail_bound_is_honest():
-    chi = trivial_character(5, t=Fraction(2))
+    chi = Quasicharacter(5, t=Fraction(2))
     for alpha in (-1, sqrt_q(5)):
         short = mellin_mu_alpha(chi, alpha, n_max=20)
         long = mellin_mu_alpha(chi, alpha, n_max=40)
@@ -120,7 +120,7 @@ def test_mellin_tail_bound_is_honest():
 
 def test_shell_integral_matches_closed_form_assembly():
     # assembling shells reproduces the unramified closed form coefficientwise
-    chi = trivial_character(7, t=Fraction(3))
+    chi = Quasicharacter(7, t=Fraction(3))
     val = shell_integral(chi, 1, -1)
     assert val == Fraction(-1, 6) * (chi.t ** (-1))
 
@@ -134,7 +134,7 @@ def _interpolation_reference(p, k, alpha):
     and L = 1 / ((1 - 1/alpha)(1 - alpha/p))."""
     if k == 0:
         return (1 - 1 / alpha) ** 2 / ((1 - 1 / alpha) * (1 - alpha / p))
-    g = primitive_root(p, 1)
+    g = primitive_root(p)
     tau, u = 0j, 1
     for j in range(p - 1):
         tau += cmath.exp(2j * cmath.pi * (u / p + k * j / (p - 1)))
@@ -148,8 +148,24 @@ def test_sqrt_targets_match_cmath_reference():
     for p in (3, 5):
         alpha = sqrt_q(p)
         for k in range(p - 1):
-            chi = character_from_log(p, 1, k) if k else trivial_character(p)
+            chi = Quasicharacter(p, 1, k)   # k = 0: the trivial character
             target = mellin_target(chi, alpha)
             assert isinstance(target, Cyclotomic)
             assert abs(target.to_complex()
                        - _interpolation_reference(p, k, p ** 0.5)) <= 1e-12
+
+
+def test_target_is_the_factored_product():
+    # the cancelled quotient equals tau(chi) e(alpha, chi) L(1/2, pi_alpha x
+    # chi) off the pole chi(p) = alpha: every case of full criterion 3, and
+    # the trivial character at t in {2, -1/2, 1/3}, alpha in {1, -1, 2, sqrt}
+    for p in (3, 5):
+        cases = [(chi, alpha) for alpha in (1, -1, sqrt_q(p))
+                 for chi in [Quasicharacter(p)]
+                 + all_primitive_characters(p, 1)]
+        cases += [(Quasicharacter(p, t=t), alpha)
+                  for t in (2, Fraction(-1, 2), Fraction(1, 3))
+                  for alpha in (1, -1, 2, sqrt_q(p)) if t != alpha]
+        for chi, alpha in cases:
+            assert mellin_target(chi, alpha) == gauss_sum(chi) \
+                * euler_factor(alpha, chi) * local_L(alpha, chi), (chi, alpha)

@@ -14,6 +14,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "exczero"
 
 ALLOWED = {
+    ("characters", "local_L"):
+        "the factored L(1/2, pi_alpha x chi) of the target, against which "
+        "test_target_is_the_factored_product checks mellin_target's "
+        "cancelled quotient",
     ("localdist", "shell_integral"):
         "one shell of the Mellin sum: the term-by-term reference of "
         "test_exact_mellin_is_the_sum_of_its_shells",
