@@ -62,8 +62,8 @@ class Quasicharacter:
     """The character of Q_p^* with chi(p) = t and chi(g^j) = zeta_phi^(k j)
     on the units, g = primitive_root(p), phi = phi(p^f).
 
-    (f, k) is lowered to the true conductor p^f: chi factors through
-    p^(f-1) exactly when p | k, and k = 0 means unramified (f = 0).
+    (f, k) is lowered to the true conductor p^f: for f >= 2, chi factors
+    through p^(f-1) exactly when p | k, and k = 0 means unramified (f = 0).
     """
 
     def __init__(self, p, f=0, k=0, t=1):
