@@ -178,7 +178,10 @@ def euler_factor(alpha, chi):
     """The interpolation factor e(alpha, chi) for an ordinary parameter alpha."""
     alpha = as_cyclotomic(alpha)
     if chi.f > 0:
-        return alpha ** (-chi.f)
+        e = alpha ** (-chi.f)
+        if alpha.level > 1 and e.is_rational():   # sqrt(q)^-f for even f
+            return Cyclotomic.from_rational(e.rational_value())
+        return e
     t = chi.t
     if alpha in (1, -1):
         return 1 - alpha / t

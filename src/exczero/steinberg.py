@@ -13,6 +13,7 @@ O and aO, and translating by t shifts both ends by ord_p(t).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .padic import DEFAULT_PREC, from_rational, log_iwasawa, ord_p
 from .value import Value
@@ -35,31 +36,51 @@ class EllSpec(Value):
 
     def __call__(self, x):
         """ell(x) of an int or Fraction x: an int for ord, p-adic for log."""
-        assert x != 0
+        assert x
         if self.kind == "ord":
             return ord_p(x, self.p)
-        return log_iwasawa(x, self.p, self.prec)
+        return _log(x, self.p, self.prec)
+
+
+@lru_cache(maxsize=1024)
+def _log(x, p, prec):
+    """log_iwasawa of a rational x, kept: the cocycle checks read the log of
+    the same points again and again."""
+    return log_iwasawa(x, p, prec)
 
 
 class EllFunction:
     """Finite sum of pieces ((lo, hi), const, weight), weight in {-1, 0, 1},
     on the region lo <= ord_p(x) < hi (hi None: no upper end); the value at
-    x is the sum over regions containing x of const + weight*ell(x)."""
+    x is the sum over regions containing x of const + weight*ell(x).  Each
+    const is a value of ell, known to at most ell's precision."""
 
     def __init__(self, ell, pieces=()):
         self.ell = ell
         self.pieces = list(pieces)
 
     def evaluate(self, x):
-        assert x != 0
-        v = ord_p(x, self.ell.p)
-        total = self.ell.zero
-        for (lo, hi), const, weight in self.pieces:
+        """The constants of the pieces whose region holds x, plus ell(x)
+        once, times their summed weight.  The sum starts at ell.zero, and no
+        term is known beyond its precision (a const is a value of ell), so a
+        const that is ell.zero is skipped; another zero may be known to less,
+        and is added.  ell(x) times a multiple of p is known to more, so it is
+        added to the zero, which caps it."""
+        assert x
+        ell = self.ell
+        v = ord_p(x, ell.p)
+        total, weight = ell.zero, 0
+        for (lo, hi), const, w in self.pieces:
             if lo <= v and (hi is None or v < hi):
-                total = total + const
-                if weight:
-                    ell_x = self.ell(x)
-                    total = total + ell_x if weight > 0 else total - ell_x
+                if const is not ell.zero:
+                    total = const if total is ell.zero else total + const
+                weight += w
+        if weight:
+            term = ell(x)
+            if weight != 1:
+                term = -term if weight == -1 else term * weight
+            total = term if total is ell.zero and weight % ell.p else \
+                total + term
         return total
 
     def __add__(self, other):
@@ -73,7 +94,8 @@ class EllFunction:
         lt = self.ell(t)   # asserts t != 0
         s = ord_p(t, self.ell.p)
         return EllFunction(self.ell, [
-            ((lo + s, None if hi is None else hi + s), const - lt * weight, weight)
+            ((lo + s, None if hi is None else hi + s),
+             const - lt * weight if weight else const, weight)
             for (lo, hi), const, weight in self.pieces])
 
     def __repr__(self):

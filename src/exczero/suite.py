@@ -84,11 +84,13 @@ def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
                         instances += 1
                         failures += delta_star(phi, eps).is_zero()
             for alpha in (1, -1, 2):
+                coeff = alpha ** 2 + Fraction(q, alpha ** 2)
+                coeff = coeff.numerator if coeff.denominator == 1 else coeff
                 for _ in range(per):
                     phi = _random_vertex_function(rng, p, verts)
                     lhs = tilde_delta_down(alpha, tilde_delta_up(alpha, phi))
                     rho2 = rho_times(alpha, rho_times(alpha, phi))
-                    rhs = rho2.scale(alpha ** 2 + Fraction(q) / alpha ** 2) \
+                    rhs = rho2.scale(coeff) \
                         - rho_times(alpha, hecke_T(rho_times(alpha, phi)))
                     instances += 1
                     failures += lhs != rhs
@@ -208,12 +210,12 @@ def _nonzero(rng, p):
 
 
 def criterion_steinberg(seed=0, quick=False, p=None, trials=None):
-    """``trials`` coboundary checks and half as many cocycle pairs per
-    (kind, prime): ord at 3 and log at 5, or both kinds at ``p`` (ord only
-    at p = 2, where the logarithm pipeline does not run)."""
+    """``trials`` coboundary checks and half as many cocycle pairs, at least
+    one, per (kind, prime): ord at 3 and log at 5, or both kinds at ``p``
+    (ord only at p = 2, where the logarithm pipeline does not run)."""
     rng = random.Random(seed)
     n_cob = trials or (50 if quick else 200)
-    n_coc = n_cob // 2
+    n_coc = max(1, n_cob // 2)
     if p is None:
         specs = (("ord", 3), ("log", 5))
     else:

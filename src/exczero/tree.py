@@ -12,6 +12,7 @@ Vertices correspond to balls of Q_p: (n, b) <-> b + p^{-n} Z_p.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from .padic import ord_p
@@ -65,9 +66,16 @@ def base_vertex(p):
 
 
 def neighbors(v):
-    """The p + 1 vertices at distance 1: one up (towards infinity), p down.
-    The children b + i p^-n are canonical as they stand: over D = max(den,
-    p^n) their numerators are prime to p for 0 < i < p, and i = 0 is b."""
+    """The p + 1 vertices at distance 1, as a new list: one up (towards
+    infinity), p down."""
+    return list(_neighbors(v))
+
+
+@lru_cache(maxsize=4096)   # holds the 2,563 vertices of radius 3 at p = 13
+def _neighbors(v):
+    """neighbors(v) as a tuple, built once per vertex.  The children b + i
+    p^-n are canonical as they stand: over D = max(den, p^n) their numerators
+    are prime to p for 0 < i < p, and i = 0 is b."""
     p, n, num, den = v
     # up: b mod p^-(n+1), numerator modulus den * p^-(n+1); 0 if that is <= 1
     e = n + 1
@@ -75,8 +83,8 @@ def neighbors(v):
     up = _vertex((p, e, num % mod, den) if mod > 1 else (p, e, 0, 1))
     D = max(den, p ** n) if n > 0 else den
     step = D // p ** n if n > 0 else D * p ** -n
-    return [up, _vertex((p, n - 1, num, den))] + [
-        _vertex((p, n - 1, num + i * step, D)) for i in range(1, p)]
+    return (up, _vertex((p, n - 1, num, den))) + tuple(
+        _vertex((p, n - 1, num + i * step, D)) for i in range(1, p))
 
 
 def distance(v, w):

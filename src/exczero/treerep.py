@@ -5,6 +5,7 @@ suite's first criterion.  An edge is the pair (origin, target) of a vertex
 and one of its neighbours."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .tree import neighbors
 
@@ -20,7 +21,7 @@ class VertexFunction:
 
     def __init__(self, p, data=None):
         self.p = p
-        self.data = {v: c for v, c in (data or {}).items() if c != 0}
+        self.data = {v: c for v, c in (data or {}).items() if c}
 
     @classmethod
     def indicator(cls, v, coeff=1):
@@ -84,7 +85,7 @@ class EdgeFunction:
         ce, orient = _canonical(e)
         if orient != 1:
             val = val * self._flip
-        if val == 0:
+        if not val:
             self.data.pop(ce, None)
         else:
             self.data[ce] = val
@@ -131,7 +132,8 @@ def delta(c):
 
 
 def _edges_near(phi):
-    """Each geometric edge with an end in the support of phi, once, upward."""
+    """Each geometric edge with an end in the support of phi, once, upward,
+    the orientation EdgeFunction stores."""
     return dict.fromkeys((v, w) if w.n > v.n else (w, v)
                          for v in phi.data for w in neighbors(v))
 
@@ -139,8 +141,8 @@ def _edges_near(phi):
 def delta_star(phi, sign):
     """delta*_+-(phi)(e) = phi(t(e)) -+ phi(o(e))."""
     out = EdgeFunction(phi.p, sign)
-    for o, t in _edges_near(phi):
-        out.set((o, t), phi(t) - sign * phi(o))
+    out.data = {(o, t): c for o, t in _edges_near(phi)
+                if (c := phi(t) - sign * phi(o))}
     return out
 
 
@@ -154,8 +156,9 @@ def hecke_T(phi):
 
 # -- weighted operators, rho(v) = alpha^h(v) --------------------------------
 
-def _rho(alpha, v):
-    h = v.n
+@lru_cache(maxsize=1024, typed=True)
+def _rho(alpha, h):
+    """rho = alpha^h at height h, an int for an int alpha where exact."""
     if isinstance(alpha, int) and (h >= 0 or alpha * alpha == 1):
         return alpha ** abs(h)   # (+-1)^h = (+-1)^|h|
     return Fraction(alpha) ** h
@@ -167,18 +170,19 @@ def tilde_delta_down(alpha, c):
     for (o, t), val in c.data.items():
         # upward orientation: contributes at the target with weight rho(origin),
         # and with the reversed edge at the origin with weight rho(target)
-        out[t] = out.get(t, 0) + _rho(alpha, o) * val
-        out[o] = out.get(o, 0) + _rho(alpha, t) * val * c._flip
+        out[t] = out.get(t, 0) + _rho(alpha, o.n) * val
+        out[o] = out.get(o, 0) + _rho(alpha, t.n) * val * c._flip
     return VertexFunction(c.p, out)
 
 
 def tilde_delta_up(alpha, phi):
     """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e))."""
     out = EdgeFunction(phi.p, 1)
-    for o, t in _edges_near(phi):
-        out.set((o, t), _rho(alpha, o) * phi(t) - _rho(alpha, t) * phi(o))
+    out.data = {(o, t): c for o, t in _edges_near(phi)
+                if (c := _rho(alpha, o.n) * phi(t)
+                    - _rho(alpha, t.n) * phi(o))}
     return out
 
 
 def rho_times(alpha, phi):
-    return phi.pointwise(lambda v: _rho(alpha, v))
+    return phi.pointwise(lambda v: _rho(alpha, v.n))

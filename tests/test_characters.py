@@ -106,6 +106,18 @@ def test_euler_factor_table():
     assert euler_factor(Fraction(2), Quasicharacter(5)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("p", [3, 5, 13])
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_euler_factor_at_sqrt_q_is_rational_for_even_f(p, f):
+    # sqrt(p)^-f is kept at level 1 when it is rational, so that the target
+    # tau(chi) sqrt(p)^-f is a rational multiple of the Gauss sum
+    e = euler_factor(sqrt_q(p), Quasicharacter(p, f, 1))
+    assert e * sqrt_q(p) ** f == 1
+    assert (e.level == 1) == (f % 2 == 0)
+    if f % 2 == 0:
+        assert e == Fraction(1, p ** (f // 2))
+
+
 def test_local_L_cases():
     assert local_L(1, legendre_character(5)) == 1
     assert local_L(1, Quasicharacter(5)) == Fraction(5, 4)

@@ -322,6 +322,12 @@ def test_identity_suites_pass_and_follow_the_seed(command, p, capsys):
     assert run(argv, capsys) == (code, out)
 
 
+def test_steinberg_checks_a_cocycle_pair_at_one_trial(capsys):
+    code, out = run(["steinberg", "--p", "5", "--trials", "1"], capsys)
+    assert (code, out) == (0, "PASS p=5 failures=0 coboundary_trials=2 "
+                              "cocycle_pairs=2\n")
+
+
 def test_seed_determinism(capsys):
     _, out1 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)
     _, out2 = run(["--seed", "7", "detcheck", "--trials", "50"], capsys)

@@ -212,3 +212,40 @@ def test_evaluate_matches_fraction_reference_at_low_precision(p, prec):
             for x in xs:
                 got, want = f.evaluate(x), _evaluate_by_fraction(f, x)
                 assert repr(got) == repr(want), (p, prec, a, b, t, x)
+
+
+def test_quick_criterion_logs_each_point_once_and_adds_no_zero(monkeypatch):
+    # quick criterion 5 at seed 2024 asks for 444 logs of 179 rationals, and
+    # the parent's evaluate added ell.zero 936 times
+    from exczero import padic, steinberg, suite
+    steinberg._log.cache_clear()
+    logs, zeros, zero_adds, inside = [], [], [], []
+    log = steinberg.log_iwasawa
+    monkeypatch.setattr(steinberg, "log_iwasawa",
+                        lambda *args: logs.append(args) or log(*args))
+    init = EllSpec.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        zeros.append(self.zero)
+    monkeypatch.setattr(EllSpec, "__init__", recording_init)
+    evaluate = steinberg.EllFunction.evaluate
+
+    def flagged_evaluate(self, x):
+        inside.append(x)
+        try:
+            return evaluate(self, x)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(steinberg.EllFunction, "evaluate", flagged_evaluate)
+    add = padic.PadicNumber.__add__
+
+    def counted_add(self, other):
+        if inside and any(self is z or other is z for z in zeros):
+            zero_adds.append((self, other))
+        return add(self, other)
+    monkeypatch.setattr(padic.PadicNumber, "__add__", counted_add)
+    monkeypatch.setattr(padic.PadicNumber, "__radd__", counted_add)
+    assert suite.criterion_steinberg(2024, quick=True).ok
+    assert len(logs) == len(set(logs)) == 179
+    assert zero_adds == []

@@ -247,3 +247,20 @@ def test_edge_functions_store_upward_pairs():
                     c.add_to((v, w), rng.randint(1, 5))
             _assert_upward(c)
         _assert_upward(tilde_delta_up(Fraction(2), phi))
+
+
+def test_quick_tree_criterion_builds_each_neighbourhood_once(monkeypatch):
+    from exczero import suite, tree, treerep
+    tree._neighbors.cache_clear()
+    calls, built = [], []
+
+    def counted(v):
+        calls.append(v)
+        return neighbors(v)
+    for module in (tree, treerep, suite):
+        monkeypatch.setattr(module, "neighbors", counted)
+    vertex = tree._vertex
+    monkeypatch.setattr(tree, "_vertex",
+                        lambda key: built.append(key) or vertex(key))
+    assert suite.criterion_tree_identities(2024, quick=True).ok
+    assert len(built) == sum(v.p + 1 for v in set(calls)) < len(calls)
