@@ -1,6 +1,6 @@
 """Quasicharacters of Q_p^*, the additive character psi, the exact unit
-character sum and Gauss sums, the closed-form Mellin integral, local
-L-factors, the Euler factors e(alpha, chi), and sqrt(q) in Q(zeta_4q)."""
+character sum and Gauss sums, local L-factors, the Euler factors
+e(alpha, chi), and sqrt(q) in Q(zeta_4q)."""
 
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +12,7 @@ from .padic import ord_p
 
 __all__ = [
     "AdditiveCharacterPsi", "Quasicharacter", "unit_psi_chi_integral",
-    "gauss_sum", "mellin_closed_form", "euler_factor", "local_L",
+    "gauss_sum", "euler_factor", "local_L",
     "all_primitive_characters", "legendre_character", "primitive_root",
     "sqrt_q",
 ]
@@ -159,29 +159,11 @@ def gauss_sum(chi):
         * chi.t ** (-chi.f)
 
 
-def mellin_closed_form(chi):
-    """The closed form of the full Mellin integral of psi against chi:
-
-    (1 - t^{-1}) / (1 - t/q) for unramified chi, tau(chi) for ramified chi.
-    Requires |t| < q for convergence.
-    """
-    q = chi.p
-    t = chi.t
-    if abs(t.to_complex()) >= q:
-        raise ValueError("divergent: |chi(p)| >= q")
-    if chi.f > 0:
-        return gauss_sum(chi)
-    return (1 - 1 / t) / (1 - t * Fraction(1, q))
-
-
 def euler_factor(alpha, chi):
     """The interpolation factor e(alpha, chi) for an ordinary parameter alpha."""
     alpha = as_cyclotomic(alpha)
     if chi.f > 0:
-        e = alpha ** (-chi.f)
-        if alpha.level > 1 and e.is_rational():   # sqrt(q)^-f for even f
-            return Cyclotomic.from_rational(e.rational_value())
-        return e
+        return (alpha ** -chi.f).lowered()   # sqrt(q)^-f for even f
     t = chi.t
     if alpha in (1, -1):
         return 1 - alpha / t

@@ -202,6 +202,13 @@ class Cyclotomic:
     def is_rational(self):
         return not any(self._reduced()[1:])
 
+    def lowered(self):
+        """self, at level 1 when it is rational: a product with it then
+        keeps the other factor's level and terms."""
+        if self.level == 1 or not self.is_rational():
+            return self
+        return Cyclotomic.from_rational(self.rational_value())
+
     def rational_value(self):
         c = self._reduced()
         assert not any(c[1:])

@@ -99,18 +99,14 @@ def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
     return _timed("tree_identities", run)
 
 
-# -- 2: closed form vs truncated shell sum ------------------------------------
-
-MELLIN_TOL = 1e-8          # |shell sum - closed form|, tail bound included
-
+# -- 2: the exact Mellin integral against its closed form ---------------------
 
 def criterion_mellin_closed_form(seed=0, quick=False):
-    from .characters import mellin_closed_form
     rng = random.Random(seed)
     per_p = 10 if quick else 50
 
     def run():
-        worst = 0.0
+        ok = True
         count = 0
         for p in (3, 5, 7):
             pool = (all_primitive_characters(p, 1)
@@ -122,30 +118,18 @@ def criterion_mellin_closed_form(seed=0, quick=False):
                 if rng.random() < 0.5:
                     t = -t
                 chi = Quasicharacter(p, base.f, base.k, t)
-                target = mellin_closed_form(chi).to_complex()
-                r = abs(float(t)) / p
-                n_max = 40
-                while r ** (n_max + 1) / (1 - r) > MELLIN_TOL / 10:
-                    n_max += 20
-                got = mellin_mu_alpha(chi, 1, n_max=n_max, exact=False)
-                err = abs(got.value - target)
-                assert got.tail_bound < MELLIN_TOL
-                worst = max(worst, err)
+                ok &= mellin_mu_alpha(chi, 1).value == mellin_target(chi, 1)
                 count += 1
-        return worst < MELLIN_TOL, {"chars": count,
-                                    "worst_err": f"{worst:.2e}"}
+        return ok, {"chars": count}
 
     return _timed("mellin_closed_form", run)
 
 
 # -- 3: interpolation against the Euler factor --------------------------------
 
-INTERPOLATION_TOL = 1e-8   # |shell sum - target| + tail bound
-
-
 def criterion_interpolation(quick=False):
     def run():
-        worst = 0.0
+        ok = True
         checked = 0
         exceptional_exact = True
         for p in ((3,) if quick else (3, 5)):
@@ -153,17 +137,14 @@ def criterion_interpolation(quick=False):
             for alpha in (1, -1, sqrt_q(p)):
                 for chi in chars:
                     target = mellin_target(chi, alpha)
-                    got = mellin_mu_alpha(chi, alpha, n_max=140, exact=False)
-                    err = abs(got.value - target.to_complex())
-                    worst = max(worst, err + got.tail_bound)
+                    ok &= mellin_mu_alpha(chi, alpha).value == target
                     checked += 1
                     if alpha == 1 and chi.f == 0:
                         # the exceptional zero: the Euler factor vanishes
                         exceptional_exact &= (
                             euler_factor(1, chi) == 0 and target == 0)
-        ok = worst < INTERPOLATION_TOL and exceptional_exact
-        return ok, {"checked": checked, "worst_err": f"{worst:.2e}",
-                    "exceptional_exact": exceptional_exact}
+        return ok and exceptional_exact, {
+            "checked": checked, "exceptional_exact": exceptional_exact}
 
     return _timed("interpolation", run)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from exczero.characters import (
     AdditiveCharacterPsi, Quasicharacter, _unit_integral,
     all_primitive_characters, euler_factor, gauss_sum, legendre_character,
-    local_L, mellin_closed_form, primitive_root, sqrt_q,
+    local_L, primitive_root, sqrt_q,
 )
 from exczero.cyclotomic import zeta
 from exczero.localdist import (
@@ -86,15 +86,16 @@ def test_imprimitive_input_is_renormalized():
     assert Quasicharacter(5, 2, 0).f == 0
 
 
-def test_mellin_closed_form_cases():
-    assert mellin_closed_form(Quasicharacter(5, t=1)) == 0
-    assert mellin_closed_form(Quasicharacter(5, t=Fraction(2))) == Fraction(5, 6)
+def test_mellin_at_alpha_one_cases():
+    # 0 at the exceptional zero t = 1, (1 - 1/t) / (1 - t/q) unramified,
+    # tau(chi) ramified; the integral diverges for |t| >= q
+    assert mellin_mu_alpha(Quasicharacter(5, t=1), 1).value == 0
+    assert mellin_mu_alpha(Quasicharacter(5, t=2), 1).value == Fraction(5, 6)
     chi = legendre_character(5)
-    assert mellin_closed_form(chi) == gauss_sum(chi)
-    with pytest.raises(ValueError):
-        mellin_closed_form(Quasicharacter(5, t=Fraction(5)))
-    with pytest.raises(ValueError):
-        mellin_closed_form(Quasicharacter(5, t=Fraction(7)))
+    assert mellin_mu_alpha(chi, 1).value == gauss_sum(chi)
+    for t in (5, 7):
+        with pytest.raises(ValueError):
+            mellin_mu_alpha(Quasicharacter(5, t=t), 1)
 
 
 def test_euler_factor_table():
@@ -212,15 +213,21 @@ def test_unit_integral_and_gauss_sum_match_reference(p, f, i):
 
 @pytest.mark.parametrize("p,f,i", ORACLE_CASES)
 def test_float_shell_sum_matches_exact(p, f, i):
+    # a complex float sum over the shells -(f + 2) <= n <= 40, within its
+    # geometric tail bound of the exact whole integral
     chi = _oracle_character(p, f, i)
+    units = [complex(unit_psi_chi_integral(chi, Fraction(p) ** n))
+             for n in range(-(f + 2), 1)]
     for alpha in (1, -1, Fraction(1, 2)):
-        exact = mellin_mu_alpha(chi, alpha, n_max=8, exact=True)
-        approx = mellin_mu_alpha(chi, alpha, n_max=8, exact=False)
-        assert abs(approx.value - exact.value.to_complex()) <= 1e-12
-        assert approx.tail_bound == exact.tail_bound
+        s = complex(chi.t * alpha) / p
+        approx = (1 - 1 / p) * sum(s ** n * units[min(n, 0) + f + 2]
+                                   for n in range(-(f + 2), 41))
+        tail = (1 - 1 / p) * abs(units[-1]) * abs(s) ** 41 / (1 - abs(s))
+        exact = mellin_mu_alpha(chi, alpha).value
+        assert abs(approx - exact.to_complex()) <= tail + 1e-12, alpha
 
 
-# -- the sparse exact shell sum and the kept unit integrals -------------------
+# -- the exact shell sum and the kept unit integrals ---------------------------
 
 SHELL_CASES = {
     **{f"mod{p ** f}": (p, f) for p, f in
@@ -241,8 +248,9 @@ def _shell_characters(p, f):
 
 @pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
 def test_exact_shell_sum_against_every_shell(p, f):
-    # the term-by-term sum of u_n s^n over every shell n_min..n_max, u_n by
-    # one residue at a time, against the sparse sum, with ==
+    # the term-by-term sum of u_n s^n over every shell n_min..N, u_n by one
+    # residue at a time, plus the shells beyond N, u_0 s^n each, against the
+    # whole integral, with ==
     for chi, _ in _shell_characters(p, f):
         n_min = -(f + 2)
         units = [_unit_integral_reference(chi, Fraction(p) ** n)
@@ -250,32 +258,31 @@ def test_exact_shell_sum_against_every_shell(p, f):
         for alpha in (1, -1, sqrt_q(p)):
             if abs(chi.t.to_complex()) * abs(complex(alpha)) >= p:
                 with pytest.raises(ValueError):
-                    mellin_mu_alpha(chi, alpha, n_max=0)
+                    mellin_mu_alpha(chi, alpha)
                 continue
             s = chi.t * alpha * Fraction(1, p)
-            for n_max in (0, 1, 8):
+            got = mellin_mu_alpha(chi, alpha).value
+            for N in (0, 1, 8):
                 want, power = 0, s ** n_min
-                for n in range(n_min, n_max + 1):
+                for n in range(n_min, N + 1):
                     want = want + units[min(n, 0) - n_min] * power
                     power = power * s
-                got = mellin_mu_alpha(chi, alpha, n_max=n_max, exact=True)
-                assert got.value == want * Fraction(p - 1, p), \
-                    (p, f, chi.t, alpha, n_max)
+                want = want + units[-1] * power / (1 - s)   # power = s^(N+1)
+                assert got == want * Fraction(p - 1, p), (p, f, chi.t, alpha, N)
 
 
 @pytest.mark.parametrize("p,f", SHELL_CASES.values(), ids=SHELL_CASES)
 def test_kept_unit_integrals_match_a_fresh_character(p, f):
     points = [Fraction(p) ** n for n in range(-(f + 2), 1)]
     for chi, fresh in _shell_characters(p, f):
-        mellin_mu_alpha(chi, -1, n_max=2)
+        mellin_mu_alpha(chi, -1)
         kept = [unit_psi_chi_integral(chi, a) for a in points]
-        # the closed form, a second alpha, a float sum and a character that
-        # differs in t only compute no unit integral: they read the kept ones
+        # the closed form, a second alpha and a character that differs in t
+        # only compute no unit integral: they read the kept ones
         misses = _unit_integral.cache_info().misses
         mellin_target(chi, 1)
         if abs(chi.t.to_complex()) < p:
-            mellin_mu_alpha(chi, 1, n_max=3)
-            mellin_mu_alpha(chi, 1, n_max=3, exact=False)
+            mellin_mu_alpha(chi, 1)
         twin = Quasicharacter(p, chi.f, chi.k, 3 * chi.t)
         mellin_target(twin, -1)
         assert _unit_integral.cache_info().misses == misses
@@ -288,6 +295,20 @@ def test_kept_unit_integrals_match_a_fresh_character(p, f):
         for a, v in zip(points, kept):
             again = unit_psi_chi_integral(other, a)
             assert again is not v and again == v, (p, f, a)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1), (5, 2)])
+def test_mellin_reads_only_the_conductor_shell(p, f):
+    # every unit integral off the conductor, -n != f, is 0, so the whole
+    # integral of a ramified chi computes the one at a = p^-f alone
+    for chi in all_primitive_characters(p, f):
+        for n in range(-(f + 2), 1):
+            if n != -f:
+                assert unit_psi_chi_integral(chi, Fraction(p) ** n) == 0, n
+        _unit_integral.cache_clear()
+        mellin_mu_alpha(chi, -1)
+        assert _unit_integral.cache_info().misses == 1
 
 
 def _conductor_by_scan(logs, q, p):

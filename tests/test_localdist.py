@@ -42,53 +42,40 @@ def test_ramified_shifted_integral_vanishes():
 
 
 def test_mellin_trivial_alpha_one_vanishes():
-    res = mellin_mu_alpha(Quasicharacter(3), 1, n_max=40)
-    assert abs(complex(res.value)) <= 1e-8
+    assert mellin_mu_alpha(Quasicharacter(3), 1).value == 0
     assert mellin_target(Quasicharacter(3), 1) == 0
 
 
 def test_mellin_alpha_minus_one():
     # p = 5, chi trivial: target = 2 * L(1/2, pi_{-1}) = 2 * 5/6 = 5/3
     chi = Quasicharacter(5)
-    res = mellin_mu_alpha(chi, -1, n_max=40)
     assert mellin_target(chi, -1) == Fraction(5, 3)
-    assert abs(complex(res.value) - 5 / 3) <= 1e-8
-
-
-def test_mellin_float_alpha():
-    # alpha = sqrt(5), unramified chi with t = 2, summed in float mode
-    chi = Quasicharacter(5, t=Fraction(2))
-    alpha = sqrt_q(5)
-    # ratio |t alpha|/q = 2/sqrt(5) converges slowly; 220 shells suffice
-    res = mellin_mu_alpha(chi, alpha, n_max=220, exact=False)
-    assert res.tail_bound < 1e-8
-    assert abs(res.value - mellin_target(chi, alpha).to_complex()) <= 1e-8
+    assert mellin_mu_alpha(chi, -1).value == Fraction(5, 3)
 
 
 def test_mellin_exact_at_sqrt_alpha():
-    # the exact shell sum at alpha = sqrt(5), t = 1: within its tail bound
-    # of the exact target, and equal to the float-mode sum
-    chi = Quasicharacter(5)
+    # alpha = sqrt(5), unramified chi at t = 1, and at t = 2, where the
+    # shells shrink by |t alpha| / q = 2 / sqrt(5) only: the exact target
     alpha = sqrt_q(5)
-    res = mellin_mu_alpha(chi, alpha, n_max=40)
-    assert isinstance(res.value, Cyclotomic)
-    target = mellin_target(chi, alpha)
-    assert abs(complex(res.value) - complex(target)) <= res.tail_bound + 1e-12
-    approx = mellin_mu_alpha(chi, alpha, n_max=40, exact=False)
-    assert abs(complex(res.value) - approx.value) <= 1e-12
+    for t in (1, 2):
+        chi = Quasicharacter(5, t=t)
+        res = mellin_mu_alpha(chi, alpha)
+        assert isinstance(res.value, Cyclotomic)
+        assert res.value == mellin_target(chi, alpha)
 
 
 def test_mellin_ramified_is_exact():
     for p in (3, 5):
         for chi in all_primitive_characters(p, 1)[:3]:
             for alpha in (1, -1):
-                res = mellin_mu_alpha(chi, alpha, n_max=6)
+                res = mellin_mu_alpha(chi, alpha)
                 assert res.value == mellin_target(chi, alpha)
 
 
 def test_exact_mellin_is_the_sum_of_its_shells():
-    # the exact shell sum against a term-by-term reference built from
-    # shell_integral, for ramified and unramified chi, t and alpha off +-1
+    # the whole integral against the shell_integral terms n_min..6 plus the
+    # shells beyond, u_0 s^n each, for ramified and unramified chi, t and
+    # alpha off +-1
     for p, f in ((3, 1), (5, 1), (3, 2), (5, 0), (7, 0)):
         chars = (all_primitive_characters(p, f) if f
                  else [Quasicharacter(p, t=t) for t in (1, 2, Fraction(1, 3))])
@@ -96,11 +83,12 @@ def test_exact_mellin_is_the_sum_of_its_shells():
             for alpha in (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)):
                 if abs(chi.t.to_complex()) * abs(alpha) >= p:
                     continue
-                res = mellin_mu_alpha(chi, alpha, n_max=6)
-                ref = 0
+                res = mellin_mu_alpha(chi, alpha)
+                scale, s = Fraction(p - 1, p), chi.t * alpha * Fraction(1, p)
+                ref = shell_integral(chi, alpha, 0) * scale * s ** 7 / (1 - s)
                 for n in range(res.n_min, 7):
                     ref = ref + shell_integral(chi, alpha, n) \
-                        * Fraction(p - 1, p) * Fraction(p) ** -n
+                        * scale * Fraction(p) ** -n
                 assert res.value == ref, (p, f, alpha)
 
 
@@ -109,13 +97,39 @@ def test_mellin_divergence_guard():
         mellin_mu_alpha(Quasicharacter(3, t=Fraction(4)), 1)
 
 
-def test_mellin_tail_bound_is_honest():
-    chi = Quasicharacter(5, t=Fraction(2))
-    for alpha in (-1, sqrt_q(5)):
-        short = mellin_mu_alpha(chi, alpha, n_max=20)
-        long = mellin_mu_alpha(chi, alpha, n_max=40)
-        diff = abs(complex(short.value) - complex(long.value))
-        assert diff <= short.tail_bound
+def test_mellin_keywords_do_not_change_the_value():
+    # n_max only reports the shells, and there is no float mode
+    chi = all_primitive_characters(5, 1)[1]
+    for n_max in (0, 8, 40):
+        res = mellin_mu_alpha(chi, -1, n_max=n_max, exact=True)
+        assert res.value == mellin_target(chi, -1)
+        assert (res.n_min, res.n_max) == (-3, n_max)
+    with pytest.raises(ValueError):
+        mellin_mu_alpha(chi, -1, exact=False)
+
+
+def test_mellin_equals_target_on_the_grid():
+    # every primitive chi mod 3, 5, 7, 9, 11, 13 and 25 and the trivial one
+    # at each p, at t in {1, 2, -1/2} and alpha in {1, -1, sqrt(p)}: 480
+    # convergent cases, and the 6 with |t alpha| >= p raise
+    checked = 0
+    for p, fs in ((3, (1, 2)), (5, (1, 2)), (7, (1,)), (11, (1,)),
+                  (13, (1,))):
+        chars = [Quasicharacter(p)]
+        for f in fs:
+            chars += all_primitive_characters(p, f)
+        for base in chars:
+            for t in (1, 2, Fraction(-1, 2)):
+                chi = Quasicharacter(p, base.f, base.k, t)
+                for alpha in (1, -1, sqrt_q(p)):
+                    if abs(t) * abs(complex(alpha)) >= p:
+                        with pytest.raises(ValueError):
+                            mellin_mu_alpha(chi, alpha)
+                        continue
+                    assert mellin_mu_alpha(chi, alpha).value \
+                        == mellin_target(chi, alpha), (p, base.k, t, alpha)
+                    checked += 1
+    assert checked == 480
 
 
 def test_shell_integral_matches_closed_form_assembly():
