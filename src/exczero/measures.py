@@ -2,12 +2,15 @@
 with distribution-relation and boundedness checking, Riemann-sum integration
 of <a>^s (the Gamma-transform L_p(s)), log-power moments, and vanishing-order
 detection.  The Riemann sums sample each ball at its point w(i)(1+p)^j, so
-both read the Mazur-Tate weights (_weights) in one integer pass; a value
-claims only the digits that its error bound proves, and prec caps them.
+both read the Mazur-Tate weights (_weights) in one integer pass, over half
+the Teichmuller lifts on an even level; a value claims only the digits
+that its error bound proves, and prec caps them.
 p is odd throughout (the logarithm pipeline excludes 2)."""
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
+from operator import eq
 
 from .padic import (
     DEFAULT_PREC, PadicNumber, exp_p, from_rational, log_iwasawa, ord_p,
@@ -86,17 +89,21 @@ def check_distribution_and_bound(mu):
     p, levels = mu.p, mu.levels
     # the refinements a + b p^n, 0 <= b < p, of a ball at level n are
     # levels[n + 1][a::p^n], and those of a ball off the units are off the
-    # units too
+    # units too; an exact level equal to its sums has no failure
     failures = []
     for n in range(1, mu.N):
         level, finer = levels[n], levels[n + 1]
         pn = len(level)
+        sums = [sum(finer[a::pn]) for a in range(pn)]
+        if mu.modulus is None and level == sums:
+            continue
         for a in range(1, pn):
-            diff = level[a] - sum(finer[a::pn])
+            diff = level[a] - sums[a]
             if diff and (mu.modulus is None or ord_p(diff, p) < mu.modulus):
                 failures.append((n, a))
     # only a value with p in its denominator has negative valuation; no int
-    worst = max((-ord_p(v, p) for level in levels for v in level
+    mixed = [lv for lv in levels if not {int}.issuperset(map(type, lv))]
+    worst = max((-ord_p(v, p) for level in mixed for v in level
                  if type(v) is not int and v.denominator % p == 0), default=0)
     mu.report = DistributionReport(not failures, worst, failures)
     return mu.report
@@ -107,17 +114,20 @@ def _weights(mu, level, digits):
     mu(w(i) g^j + p^n Z_p), 0 <= j < p^(n-1), as the integers p^c W_j mod
     p^digits; w(i) is the Teichmuller lift and g = 1 + p.  The points
     w(i) g^j meet every unit residue mod p^n once, and <w(i) g^j> = g^j.
-    The unreduced p^c W_j of a level are kept on mu, for every later call."""
+    On an even level, mu(-a) = mu(a), w(p - i) = -w(i) gives the same terms
+    as w(i), so the sum reads i < p/2 and doubles.  The unreduced p^c W_j
+    of a level are kept on mu, for every later call."""
     p, sums = mu.p, mu.weights.get(level)
     if sums is None:
         values, sums = mu.levels[level], [0] * p ** (level - 1)
         g, pn = 1 + p, len(values)
-        for i in range(1, p):
+        even = all(map(eq, islice(values, 1, pn // 2 + 1), reversed(values)))
+        for i in range(1, (p + 1) // 2 if even else p):
             x = teichmuller(i, p, level).unit
             for j in range(len(sums)):
                 sums[j] += values[x]
                 x = x * g % pn
-        scale = p ** check_distribution_and_bound(mu).bound_cert
+        scale = p ** check_distribution_and_bound(mu).bound_cert * (1 + even)
         sums = mu.weights[level] = [t * scale for t in sums]
     m = p ** digits
     return [t % m if type(t) is int else

@@ -8,7 +8,8 @@ eigensymbol of an elliptic curve spans the kernel of the transposed
 T_ell - a_ell on that quotient.  The resulting functional lam(r) computes
 the normalized period of the path from infinity to a rational r through
 continued-fraction convergents, looking each symbol up by its bottom row
-mod N."""
+mod N.  The walk also returns the last convergent denominator, +-1/r mod
+the denominator, so lam_units reads the units x/m, N | m, in pairs."""
 
 from math import gcd, lcm
 
@@ -72,7 +73,7 @@ class ModularSymbolSpace:
     the dual eigensymbol of a fixed elliptic curve."""
 
     def __init__(self, E):
-        self.E, self.N, self.p1 = E, E.N, P1(E.N)
+        self.E, self.N, self.p1, self.walks = E, E.N, P1(E.N), 0
         self._build_quotient()
         self._build_eigensymbol()
 
@@ -170,28 +171,53 @@ class ModularSymbolSpace:
         return self.lam_ratio(r.numerator, r.denominator)
 
     def lam_ratio(self, n, d):
-        """The eigensymbol paired with the path from infinity to n/d, for
-        ints n and d > 0: the sum over the unimodular
-        matrices whose translates of the path from 0 to infinity chain from
-        infinity to n/d.  Their bottom rows (q_k, (-1)^k q_(k-1)) are the
-        convergent denominators, by Euclid on n and d; only q_k mod N is
-        kept, the sign of the second entry drops out (see _lam_by_row), and
-        the loop takes the steps of odd and even k in turn."""
+        """lam at n/d, for ints n and d > 0 (see _walk)."""
+        return self._walk(n, d)[0]
+
+    def lam_units(self, m, p):
+        """[lam(x/m) for 0 <= x <= m/2], 0 where p | x, for m a power of p.
+        When N | m, g = (x b; m y) with xy = 1 mod m lies in Gamma_0(N) and
+        g -> {infinity, g infinity} is additive, so lam(y/m) = -lam(x/m):
+        the walk at x, which returns y up to sign, writes both; self.walks
+        counts the walks."""
+        walk, half = self._walk, (m + 1) // 2
+        out = [None] * half
+        out[::p] = [0] * len(range(0, half, p))
+        paired, walks = m % self.N == 0, 0
+        for x in range(1, half):
+            if out[x] is None:
+                lam_x, y = walk(x, m)
+                walks += 1
+                if paired:
+                    out[min(y, m - y)] = -lam_x
+                out[x] = lam_x
+        self.walks += walks
+        return out
+
+    def _walk(self, n, d):
+        """(lam(n/d), q_(K-1)): lam sums the unimodular matrices whose
+        translates of the path from 0 to infinity chain from infinity to n/d.
+        Their bottom rows (q_k, (-1)^k q_(k-1)) are the convergent
+        denominators, by Euclid on n and d; the table reads q_k mod N, the
+        sign drops out (see _lam_by_row), and the loop takes odd and even k
+        in turn.  n q_(K-1) = +-1 mod d when gcd(n, d) = 1."""
         N, row = self.N, self._lam_by_row
         # k = 0: the bottom row (q_0, q_-1) is (1, 0) whatever the first
         # quotient, so lam has period one
         n %= d
-        total, q_even, q_odd = row[N], 1, 0
+        total, q_even, q_odd, r_even = row[N], 1, 0, 1
         while n:
-            a, d = divmod(d, n)
-            q_odd = (a * q_even + q_odd) % N
-            total += row[q_odd * N + q_even]
+            a, d = d // n, d % n
+            q_odd += a * q_even
+            r_odd = q_odd % N
+            total += row[r_odd * N + r_even]
             if not d:
-                return total
-            a, n = divmod(n, d)
-            q_even = (a * q_odd + q_even) % N
-            total += row[q_even * N + q_odd]
-        return total
+                return total, q_even
+            a, n = n // d, n % d
+            q_even += a * q_odd
+            r_even = q_even % N
+            total += row[r_even * N + r_odd]
+        return total, q_odd
 
     def lam_zero(self):
         return self.lam_sym[self.p1.index((1, 0))]

@@ -37,40 +37,41 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     root of X^2 - a_p X + p; the values are residues mod p^prec, recorded
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
     with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
-    for the plus eigensymbol), so each level mirrors its lower half."""
+    for the plus eigensymbol), so each level mirrors its lower half, which
+    msym.lam_units reads (in {x, 1/x} pairs at p | N)."""
     assert level >= 1
     kind, a = _measure_prime(E, p)
     if msym is None:
         msym = ModularSymbolSpace(E)
-    lam, levels = msym.lam_ratio, [[0]]
-    # the eigensymbol is star-invariant by construction, so lam(-r) = lam(r)
+    units, levels = msym.lam_units, [[0]]
     if kind == "good":
         mod = p ** prec
         ainv = int(unit_root(a, p, prec).inverse().unit_mod(prec))
         # prev[y] = lam(y/p^(n-1)) from the level below; lam has period
         # one, so lam(x/p^(n-1)) = prev[x mod p^(n-1)]
-        raw = [lam(0, 1)]
+        raw = [msym.lam_zero()]
         for n in range(1, level + 1):
             pn, c0, c1 = p ** n, pow(ainv, n, mod), pow(ainv, n + 1, mod)
             prev, below = raw, pn // p
-            raw = [lam(x, pn) if x % p else 0 for x in range((pn + 1) // 2)]
+            raw = units(pn, p)
             vals = [(c0 * r - c1 * prev[x % below]) % mod if x % p else 0
                     for x, r in enumerate(raw)]
             raw += raw[:0:-1]
             levels.append(vals + vals[:0:-1])
         return BallMeasure(p, levels, modulus=prec)
     for n in range(1, level + 1):
-        pn, sign = p ** n, a ** n  # alpha^-n = a^n for a = +-1
-        half = [sign * lam(x, pn) if x % p else 0
-                for x in range((pn + 1) // 2)]
+        half = units(p ** n, p)
+        if a ** n < 0:   # alpha^-n = a^n for a = +-1
+            half = [-v for v in half]
         levels.append(half + half[:0:-1])
     return BallMeasure(p, levels)
 
 
 # total = mu(Z_p^*), unnormalized; ok compares ratio = total / lam(0) with
-# predicted mod p^check_exp (0: exactly); stage_s: perf_counter s per stage
+# predicted mod p^check_exp (0: exactly); stage_s: perf_counter s per stage;
+# lam_walks: the Euclid walks of lam that the measure made
 TotalMassReport = namedtuple("TotalMassReport", "label p kind total lam_zero"
-                             " ratio predicted check_exp ok stage_s")
+                             " ratio predicted check_exp ok stage_s lam_walks")
 
 
 class VanishingLValue(ValueError):
@@ -120,14 +121,14 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
         check_exp = 0
         ok = ratio == predicted
     return TotalMassReport(E.label, p, kind, total, lam0, ratio, predicted,
-                           check_exp, ok, st)
+                           check_exp, ok, st, msym.walks)
 
 
 # ok: total_mass = L_p(0) is 0 and moment1_ratio = L_p'(0) / lam(0) equals
 # l_inv = log(q_E)/ord(q_E) mod p^match_exp; c = bound_cert: ord(mu) >= -c
 ExceptionalZeroReport = namedtuple(
     "ExceptionalZeroReport", "label p level lam_zero total_mass moment1_ratio"
-    " l_inv bound_cert match_exp ok stage_s")
+    " l_inv bound_cert match_exp ok stage_s lam_walks")
 
 
 def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
@@ -146,4 +147,5 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     diff = (ratio - linv).truncate_abs(match_exp)
     ok = total == 0 and diff.is_zero
     return ExceptionalZeroReport(E.label, p, level, lam0, total, ratio,
-                                 linv, rep.bound_cert, match_exp, ok, st)
+                                 linv, rep.bound_cert, match_exp, ok, st,
+                                 msym.walks)

@@ -314,3 +314,48 @@ def test_wrong_additive_conductor_raises(N):
     # holds no eigensymbol (N < 27) or more than one (N = 81)
     with pytest.raises(ValueError):
         ModularSymbolSpace(EllipticCurve("27a1", N, 0, 0, 1, 0, -7))
+
+
+PRIME_CONDUCTOR = [E for E, _ in PINNED_DIGESTS
+                   if E.label in ("11a1", "17a1", "19a1", "37a1", "43a1")]
+
+
+@pytest.mark.parametrize("E", PRIME_CONDUCTOR,
+                         ids=[E.label for E in PRIME_CONDUCTOR])
+def test_lam_at_the_inverse_is_minus_lam(E):
+    """lam(y/m) = -lam(x/m) for xy = 1 mod m and N | m: g = (x b; m y) lies
+    in Gamma_0(N), and g -> {infinity, g infinity} is additive, with
+    g^-1 infinity = -y/m.  11a1, 17a1 and 19a1 are split; 37a1 and 43a1
+    nonsplit with lam(0) = 0.  Read through lam_ratio only."""
+    M = ModularSymbolSpace(E)
+    for m in (E.N, E.N ** 2):
+        for x in range(1, m):
+            if x % E.N:
+                assert M.lam_ratio(pow(x, -1, m), m) == -M.lam_ratio(x, m), \
+                    (x, m)
+
+
+def test_lam_at_the_inverse_off_the_level_is_not_minus_lam():
+    """The negative control: for 15a1 the identity fails at m = 3, 9, 5
+    and 25, which N = 15 does not divide, so lam_units pairs only at N | m."""
+    M = ModularSymbolSpace(E15)
+    bad = {m: sum(M.lam_ratio(pow(x, -1, m), m) != -M.lam_ratio(x, m)
+                  for x in range(1, m) if gcd(x, m) == 1)
+           for m in (3, 9, 5, 25)}
+    assert bad == {3: 2, 9: 6, 5: 4, 25: 20}
+
+
+@pytest.mark.parametrize("E", [E for E, _ in PINNED_DIGESTS],
+                         ids=[E.label for E, _ in PINNED_DIGESTS])
+def test_lam_units_matches_lam_ratio(E):
+    # m = p^k for odd p dividing N (paired when N | m) and for 3, 5 and 7
+    M = ModularSymbolSpace(E)
+    primes = {p for p in range(3, E.N + 1, 2)
+              if E.N % p == 0 and all(p % d for d in range(2, p))}
+    for p in primes | {3, 5, 7}:
+        for k in range(1, 5):
+            m = p ** k
+            if m > max(E.N ** 2, 400):
+                break
+            assert M.lam_units(m, p) == [M.lam_ratio(x, m) if x % p else 0
+                                         for x in range((m + 1) // 2)], (p, m)

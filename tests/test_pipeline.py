@@ -104,6 +104,9 @@ def test_exceptional_zero_requires_split():
 
 E27 = EllipticCurve("27a1", 27, 0, 0, 1, 0, -7)
 E91 = EllipticCurve("91a1", 91, 0, 1, 1, -7, 5)
+E17 = EllipticCurve("17a1", 17, 1, -1, 1, -1, -14)
+E37 = EllipticCurve("37a1", 37, 0, 0, 1, -1, 0)
+E43 = EllipticCurve("43a1", 43, 0, 1, 1, 0, 0)
 
 
 def _reference_levels(E, p, level, prec, msym):
@@ -130,11 +133,34 @@ def _reference_levels(E, p, level, prec, msym):
     (E15, 3, 5, 8, "nonsplit"), (E91, 7, 3, 8, "split"),
     (E91, 13, 3, 8, "split"), (E11, 3, 5, 6, "good"),
     (E11, 5, 4, 4, "good"), (E27, 7, 3, 8, "good"),
+    (E17, 17, 2, 8, "split"), (E37, 37, 2, 8, "nonsplit"),
+    (E43, 43, 2, 8, "nonsplit"),
 ], ids=["11a1@11", "15a1@5", "15a1@3", "91a1@7", "91a1@13", "11a1@3",
-        "11a1@5", "27a1@7"])
+        "11a1@5", "27a1@7", "17a1@17", "37a1@37", "43a1@43"])
 def test_measure_matches_lam_on_every_ball(E, p, level, prec, kind):
     assert reduction_type(E, p) == kind
     msym = ModularSymbolSpace(E)
     mu = mtt_measure(E, p, level, prec, msym)
     assert (mu.levels, mu.modulus) == _reference_levels(E, p, level, prec,
                                                         msym)
+
+
+@pytest.mark.parametrize("E, p, walks", [(E11, 11, 3662), (E15, 5, 312)],
+                         ids=["11a1@11", "15a1@5"])
+def test_measure_walks_each_unit_class_once(E, p, walks, monkeypatch):
+    """At N = p the walks read one unit x of each class {+-x, +-1/x} mod
+    p^n: 3 + 28 + 303 + 3328 up to level 4, against the 7,320 units below
+    p^n/2.  At N = 15 and p = 5 they read every one of the 312 units."""
+    calls = []
+    walk = ModularSymbolSpace._walk
+    monkeypatch.setattr(ModularSymbolSpace, "_walk",
+                        lambda self, n, d: calls.append(d) or walk(self, n, d))
+    msym = ModularSymbolSpace(E)
+    mtt_measure(E, p, 4, msym=msym)
+    assert len(calls) == msym.walks == walks
+
+
+def test_reports_carry_the_walk_count():
+    assert exceptional_zero_report(E11, 11, 2).lam_walks == 3 + 28
+    assert total_mass_report(E15, 5, 2).lam_walks == 2 + 10
+    assert total_mass_report(E11, 3, 2).lam_walks == 1 + 3
