@@ -8,8 +8,8 @@ eigensymbol of an elliptic curve spans the kernel of the transposed
 T_ell - a_ell on that quotient.  The resulting functional lam(r) computes
 the normalized period of the path from infinity to a rational r through
 continued-fraction convergents, looking each symbol up by its bottom row
-mod N.  The walk also returns the last convergent denominator, +-1/r mod
-the denominator, so lam_units reads the units x/m, N | m, in pairs."""
+mod N.  The walk to n/d also returns its last convergent denominator,
++-1/n mod d, so lam_units reads the units x/m, N | m, in pairs {x, 1/x}."""
 
 from math import gcd, lcm
 

@@ -38,7 +38,7 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
     with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
     for the plus eigensymbol), so each level mirrors its lower half, which
-    msym.lam_units reads (in {x, 1/x} pairs at p | N)."""
+    msym.lam_units reads (in {x, 1/x} pairs when N | p^n)."""
     assert level >= 1
     kind, a = _measure_prime(E, p)
     if msym is None:
