@@ -345,6 +345,42 @@ def test_lam_at_the_inverse_off_the_level_is_not_minus_lam():
     assert bad == {3: 2, 9: 6, 5: 4, 25: 20}
 
 
+CURVES = {E.label: E for E, _ in PINNED_DIGESTS} | {
+    "26b1": EllipticCurve("26b1", 26, 1, -1, 1, -3, 3)}
+# every pinned curve with an odd p || N and N/p > 1, all squarefree
+FE_PAIRS = [("14a1", 7), ("15a1", 3), ("15a1", 5), ("21a1", 3), ("21a1", 7),
+            ("26a1", 13), ("26b1", 13), ("91a1", 7), ("91a1", 13),
+            ("170", 5), ("170", 17)]
+
+
+def _fe_mismatches(M, p, m, eps):
+    """The units x mod m with lam(y/m) != eps lam(x/m), y = 1/(M x) mod m,
+    M = N/p; read through lam_ratio only."""
+    q = M.N // p
+    return [x for x in range(1, m) if x % p and
+            M.lam_ratio(pow(q * x, -1, m), m) != eps * M.lam_ratio(x, m)]
+
+
+@pytest.mark.parametrize("label, p", FE_PAIRS,
+                         ids=[f"{label}@{p}" for label, p in FE_PAIRS])
+def test_lam_at_the_inverse_of_M_x_is_eps_lam(label, p):
+    """The p-adic functional equation of Mazur, Tate and Teitelbaum at
+    p || N: lam(y/m) = eps lam(x/m) for y = 1/(M x) mod m, m = p^n, with
+    eps = -w_M = -prod over l | M of (-a_l) for squarefree M = N/p.  The
+    opposite sign fails at m = p^2 and p^3 (at m = p both signs can hold:
+    21a1 at 3)."""
+    E = CURVES[label]
+    M, q = ModularSymbolSpace(E), E.N // p
+    eps = -1
+    for ell in range(2, q + 1):
+        if q % ell == 0 and all(ell % d for d in range(2, ell)):
+            eps *= -ap(E, ell)
+    for m in (p, p ** 2, p ** 3):
+        assert _fe_mismatches(M, p, m, eps) == [], (m, eps)
+        if m > p:
+            assert _fe_mismatches(M, p, m, -eps), (m, -eps)
+
+
 @pytest.mark.parametrize("E", [E for E, _ in PINNED_DIGESTS],
                          ids=[E.label for E, _ in PINNED_DIGESTS])
 def test_lam_units_matches_lam_ratio(E):
