@@ -213,7 +213,8 @@ def cmd_interp(args, parser):
         "curve": E.label, "p": args.p, "kind": rep.kind, "level": args.level,
         "total_mass": rep.total, "lam0": rep.lam_zero, "ratio": rep.ratio,
         "predicted": rep.predicted, "check_exp": rep.check_exp},
-        {"stage_s": rep.stage_s, "lam_walks": rep.lam_walks})
+        {"stage_s": rep.stage_s, "lam_walks": rep.lam_walks,
+         "fe_sign": rep.fe_sign})
 
 
 def cmd_ezero(args, parser):
@@ -225,7 +226,8 @@ def cmd_ezero(args, parser):
         "lp_at_0": rep.total_mass, "lam0": rep.lam_zero,
         "moment1_ratio": rep.moment1_ratio, "l_invariant": rep.l_inv,
         "bound_cert": rep.bound_cert, "match_exp": rep.match_exp},
-        {"stage_s": rep.stage_s, "lam_walks": rep.lam_walks})
+        {"stage_s": rep.stage_s, "lam_walks": rep.lam_walks,
+         "fe_sign": rep.fe_sign})
 
 
 def cmd_suite(args, parser):

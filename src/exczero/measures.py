@@ -89,20 +89,25 @@ def check_distribution_and_bound(mu):
     p, levels = mu.p, mu.levels
     # the refinements a + b p^n, 0 <= b < p, of a ball at level n are
     # levels[n + 1][a::p^n], and those of a ball off the units are off the
-    # units too; an exact level equal to its sums has no failure
-    failures = []
+    # units too; an exact level equal to its sums has no failure, an int
+    # difference fails under a modulus unless p^modulus divides it, and a
+    # sum is an int exactly when its slice holds no Fraction
+    failures, mixed, mod = [], [levels[1]], mu.modulus and p ** mu.modulus
     for n in range(1, mu.N):
         level, finer = levels[n], levels[n + 1]
         pn = len(level)
         sums = [sum(finer[a::pn]) for a in range(pn)]
-        if mu.modulus is None and level == sums:
+        if not {int}.issuperset(map(type, sums)):
+            mixed.append(finer)
+        if mod is None and level == sums:
             continue
         for a in range(1, pn):
             diff = level[a] - sums[a]
-            if diff and (mu.modulus is None or ord_p(diff, p) < mu.modulus):
+            if diff and (mod is None or (diff % mod if type(diff) is int
+                                         else ord_p(diff, p) < mu.modulus)):
                 failures.append((n, a))
-    # only a value with p in its denominator has negative valuation; no int
-    mixed = [lv for lv in levels if not {int}.issuperset(map(type, lv))]
+    # only a value with p in its denominator has negative valuation; mixed
+    # holds the levels with a Fraction, and level 1
     worst = max((-ord_p(v, p) for level in mixed for v in level
                  if type(v) is not int and v.denominator % p == 0), default=0)
     mu.report = DistributionReport(not failures, worst, failures)

@@ -8,8 +8,10 @@ eigensymbol of an elliptic curve spans the kernel of the transposed
 T_ell - a_ell on that quotient.  The resulting functional lam(r) computes
 the normalized period of the path from infinity to a rational r through
 continued-fraction convergents, looking each symbol up by its bottom row
-mod N.  The walk to n/d also returns its last convergent denominator,
-+-1/n mod d, so lam_units reads the units x/m, N | m, in pairs {x, 1/x}."""
+(c mod N, d mod N) in a 2-D table.  One Euclid loop walks a whole level of
+units x/m; its last convergent denominator is +-1/x mod m, so at p || N
+with N/p = M squarefree lam_units reads the units in pairs {x, 1/(M x)},
+by the p-adic functional equation of Mazur, Tate and Teitelbaum."""
 
 from math import gcd, lcm
 
@@ -159,10 +161,11 @@ class ModularSymbolSpace:
         if base < 0:
             ints = [-v for v in ints]
         self.lam_sym = ints
-        # lam_sym by bottom row (c mod N, d mod N), at c * N + d; it also
+        # _rows[c][d]: lam_sym by bottom row (c mod N, d mod N); it also
         # serves (c, -d), as x(c, -d) = x(-c, d) = x(c, d) in the quotient
-        self._lam_by_row = [None if i is None else ints[i]
-                            for i in self.p1.flat]
+        N, flat = self.N, self.p1.flat
+        self._rows = [[None if i is None else ints[i] for i in flat[c:c + N]]
+                      for c in range(0, N * N, N)]
 
     # -- evaluation ------------------------------------------------------------
 
@@ -171,53 +174,73 @@ class ModularSymbolSpace:
         return self.lam_ratio(r.numerator, r.denominator)
 
     def lam_ratio(self, n, d):
-        """lam at n/d, for ints n and d > 0 (see _walk)."""
-        return self._walk(n, d)[0]
+        """lam at n/d, for ints n and d > 0 (see _walk_units)."""
+        r = n % d
+        return self._walk_units((r,), {r: None}, d)[r]
+
+    def fe_sign(self, p):
+        """eps = -prod over l | M of (-a_l) = -w_M (the Atkin-Lehner sign)
+        when N = p M is squarefree, else None."""
+        N, eps, ell = self.N, -1, 2
+        if N % p or any(N % (k * k) == 0 for k in range(2, N)):
+            return None
+        while ell < N:
+            if N // p % ell == 0:
+                eps *= -ap(self.E, ell)
+            ell = _next_prime(ell)
+        return eps
 
     def lam_units(self, m, p):
         """[lam(x/m) for 0 <= x <= m/2], 0 where p | x, for m a power of p.
-        When N | m, g = (x b; m y) with xy = 1 mod m lies in Gamma_0(N) and
-        g -> {infinity, g infinity} is additive, so lam(y/m) = -lam(x/m):
-        the walk at x, which returns y up to sign, writes both; self.walks
-        counts the walks."""
-        walk, half = self._walk, (m + 1) // 2
+        By the p-adic functional equation lam(y/m) = eps lam(x/m) for
+        y = 1/(M x) mod m and eps = fe_sign(p), so where eps is not None the
+        walk at x writes both (at M = 1, g = (x b; m y) lies in Gamma_0(N)
+        and g -> {infinity, g infinity} is additive)."""
+        half, eps = (m + 1) // 2, self.fe_sign(p) or 0
         out = [None] * half
         out[::p] = [0] * len(range(0, half, p))
-        paired, walks = m % self.N == 0, 0
-        for x in range(1, half):
-            if out[x] is None:
-                lam_x, y = walk(x, m)
-                walks += 1
-                if paired:
-                    out[min(y, m - y)] = -lam_x
-                out[x] = lam_x
-        self.walks += walks
-        return out
+        return self._walk_units(range(1, half), out, m, eps,
+                                eps and pow(self.N // p, -1, m))
 
-    def _walk(self, n, d):
-        """(lam(n/d), q_(K-1)): lam sums the unimodular matrices whose
-        translates of the path from 0 to infinity chain from infinity to n/d.
-        Their bottom rows (q_k, (-1)^k q_(k-1)) are the convergent
-        denominators, by Euclid on n and d; the table reads q_k mod N, the
-        sign drops out (see _lam_by_row), and the loop takes odd and even k
-        in turn.  n q_(K-1) = +-1 mod d when gcd(n, d) = 1."""
-        N, row = self.N, self._lam_by_row
+    def _walk_units(self, xs, out, m, eps=0, m_inv=0):
+        """out, with out[x] = lam(x/m) for each x in xs, 0 <= x < m, where
+        out[x] is None; with eps, also eps lam(x/m) at +-y, y = m_inv
+        q_(K-1) mod m.  lam sums the unimodular matrices whose translates
+        of the path from 0 to infinity chain from infinity to x/m.  Their
+        bottom rows (q_k, (-1)^k q_(k-1)) are the convergent denominators,
+        by Euclid on x and m; the table reads q_k mod N, the sign drops out
+        (see _rows), and the loop takes odd and even k in turn;
+        x q_(K-1) = +-1 mod m.  self.walks counts the walks."""
+        N, rows, walks = self.N, self._rows, 0
         # k = 0: the bottom row (q_0, q_-1) is (1, 0) whatever the first
         # quotient, so lam has period one
-        n %= d
-        total, q_even, q_odd, r_even = row[N], 1, 0, 1
-        while n:
-            a, d = d // n, d % n
-            q_odd += a * q_even
-            r_odd = q_odd % N
-            total += row[r_odd * N + r_even]
-            if not d:
-                return total, q_even
-            a, n = n // d, n % d
-            q_even += a * q_odd
-            r_even = q_even % N
-            total += row[r_even * N + r_odd]
-        return total, q_odd
+        start = rows[1 % N][0]
+        for x in xs:
+            if out[x] is not None:
+                continue
+            n, d, total = x, m, start
+            q_even, q_odd, r_even = 1, 0, 1
+            while n:
+                q_odd += d // n * q_even
+                d %= n
+                r_odd = q_odd % N
+                total += rows[r_odd][r_even]
+                if not d:
+                    y = q_even
+                    break
+                q_even += n // d * q_odd
+                n %= d
+                r_even = q_even % N
+                total += rows[r_even][r_odd]
+            else:
+                y = q_odd
+            if eps:
+                y = y * m_inv % m
+                out[y if y + y < m else m - y] = eps * total
+            out[x] = total
+            walks += 1
+        self.walks += walks
+        return out
 
     def lam_zero(self):
         return self.lam_sym[self.p1.index((1, 0))]

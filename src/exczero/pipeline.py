@@ -38,7 +38,8 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
     via the measure's modulus.  At p || N a single term alpha^-n lam(a/p^n)
     with alpha = a_p = +-1 is exact.  The measure is even (lam(-r) = lam(r)
     for the plus eigensymbol), so each level mirrors its lower half, which
-    msym.lam_units reads (in {x, 1/x} pairs when N | p^n)."""
+    msym.lam_units reads (in pairs {x, 1/(M x)} at p || N, M = N/p
+    squarefree)."""
     assert level >= 1
     kind, a = _measure_prime(E, p)
     if msym is None:
@@ -69,9 +70,11 @@ def mtt_measure(E, p, level, prec=DEFAULT_PREC, msym=None):
 
 # total = mu(Z_p^*), unnormalized; ok compares ratio = total / lam(0) with
 # predicted mod p^check_exp (0: exactly); stage_s: perf_counter s per stage;
-# lam_walks: the Euclid walks of lam that the measure made
+# lam_walks: the Euclid walks of lam that the measure made; fe_sign: the
+# sign eps of the functional equation that paired them, None if unpaired
 TotalMassReport = namedtuple("TotalMassReport", "label p kind total lam_zero"
-                             " ratio predicted check_exp ok stage_s lam_walks")
+                             " ratio predicted check_exp ok stage_s lam_walks"
+                             " fe_sign")
 
 
 class VanishingLValue(ValueError):
@@ -121,14 +124,14 @@ def total_mass_report(E, p, level, prec=DEFAULT_PREC):
         check_exp = 0
         ok = ratio == predicted
     return TotalMassReport(E.label, p, kind, total, lam0, ratio, predicted,
-                           check_exp, ok, st, msym.walks)
+                           check_exp, ok, st, msym.walks, msym.fe_sign(p))
 
 
 # ok: total_mass = L_p(0) is 0 and moment1_ratio = L_p'(0) / lam(0) equals
 # l_inv = log(q_E)/ord(q_E) mod p^match_exp; c = bound_cert: ord(mu) >= -c
 ExceptionalZeroReport = namedtuple(
     "ExceptionalZeroReport", "label p level lam_zero total_mass moment1_ratio"
-    " l_inv bound_cert match_exp ok stage_s lam_walks")
+    " l_inv bound_cert match_exp ok stage_s lam_walks fe_sign")
 
 
 def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
@@ -148,4 +151,4 @@ def exceptional_zero_report(E, p, level, prec=DEFAULT_PREC):
     ok = total == 0 and diff.is_zero
     return ExceptionalZeroReport(E.label, p, level, lam0, total, ratio,
                                  linv, rep.bound_cert, match_exp, ok, st,
-                                 msym.walks)
+                                 msym.walks, msym.fe_sign(p))

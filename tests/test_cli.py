@@ -171,13 +171,14 @@ def test_ezero_json_carries_stage_timings(capsys):
     assert set(stages) == {"symbol_space", "measure", "check", "moment",
                            "l_invariant"}
     assert rep["lam_walks"] == 3 + 28   # one per class {+-x, +-1/x}
+    assert rep["fe_sign"] == -1 and list(rep)[-2:] == ["lam_walks", "fe_sign"]
     assert all(isinstance(t, float) and t >= 0 for t in stages.values())
 
 
-@pytest.mark.parametrize("curve, p, walks", [(CURVE11, "3", 1 + 3),
-                                             (CURVE15, "5", 2 + 10)],
-                         ids=["good", "split"])
-def test_interp_json_carries_stage_timings(curve, p, walks, capsys):
+@pytest.mark.parametrize("curve, p, walks, sign", [
+    (CURVE11, "3", 1 + 3, None), (CURVE15, "5", 1 + 5, -1)],
+    ids=["good", "split"])
+def test_interp_json_carries_stage_timings(curve, p, walks, sign, capsys):
     code, out = run(["--format", "json", "interp", "--curve", curve,
                      "--p", p, "--level", "2"], capsys)
     assert code == 0
@@ -185,7 +186,7 @@ def test_interp_json_carries_stage_timings(curve, p, walks, capsys):
     assert rep["status"] == "PASS"
     stages = rep["stage_s"]
     assert set(stages) == {"symbol_space", "measure", "check"}
-    assert rep["lam_walks"] == walks
+    assert rep["lam_walks"] == walks and rep["fe_sign"] == sign
     assert all(isinstance(t, float) and t >= 0 for t in stages.values())
 
 

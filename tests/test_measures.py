@@ -237,6 +237,30 @@ def test_modulus_relaxes_distribution_check():
     assert not check_distribution_and_bound(exact).ok
 
 
+def test_modulus_reports_a_ball_off_by_a_unit_times_p_to_modulus_minus_1():
+    # 11a1 at 5 is good ordinary, its values ints mod 5^5; a planted ball
+    # fails against its refinements and its parent against it
+    mu = mtt_measure(E11, 5, 3, prec=5)
+    for n, a in ((1, 2), (2, 7), (3, 99)):
+        want = [(n - 1, a % 5 ** (n - 1))] * (n > 1) + [(n, a)] * (n < 3)
+        for delta in (2 * 5 ** 4, -5 ** 4, 3 * 5 ** 5):
+            levels = _copy(mu.levels)
+            levels[n][a] += delta
+            rep = check_distribution_and_bound(BallMeasure(5, levels, 5))
+            assert rep.failures == ([] if delta % 5 ** 5 == 0 else want)
+
+
+def test_int_measures_are_checked_without_ord_p(monkeypatch):
+    import exczero.measures as measures
+    calls = []
+    monkeypatch.setattr(measures, "ord_p",
+                        lambda *args: calls.append(args) or ord_p(*args))
+    for mu in (mtt_measure(E11, 13, 3, prec=20), mtt_measure(E11, 11, 3)):
+        rep = check_distribution_and_bound(mu)
+        assert rep.ok and rep.bound_cert == 0
+    assert calls == []
+
+
 def _reference_moment(mu, k, level, prec):
     """moment by PadicNumber arithmetic: one log per unit, one term each."""
     p = mu.p

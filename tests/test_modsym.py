@@ -294,9 +294,9 @@ def test_lam_by_row_is_even_in_d(E):
     quotient x(c, -d) = x(-c, d) = x(c, d), so the table is invariant under
     d -> -d."""
     M = ModularSymbolSpace(E)
-    N, row = M.N, M._lam_by_row
-    assert all(row[c * N + d] == row[c * N + -d % N]
-               for c in range(N) for d in range(N))
+    N, rows = M.N, M._rows
+    assert len(rows) == N and all(len(row) == N for row in rows)
+    assert all(row[d] == row[-d % N] for row in rows for d in range(N))
 
 
 @pytest.mark.parametrize("N", [1, 13, 121])
@@ -337,7 +337,8 @@ def test_lam_at_the_inverse_is_minus_lam(E):
 
 def test_lam_at_the_inverse_off_the_level_is_not_minus_lam():
     """The negative control: for 15a1 the identity fails at m = 3, 9, 5
-    and 25, which N = 15 does not divide, so lam_units pairs only at N | m."""
+    and 25, which N = 15 does not divide; there lam_units pairs x with
+    1/(M x), M = N/p, instead (test_lam_at_the_inverse_of_M_x_is_eps_lam)."""
     M = ModularSymbolSpace(E15)
     bad = {m: sum(M.lam_ratio(pow(x, -1, m), m) != -M.lam_ratio(x, m)
                   for x in range(1, m) if gcd(x, m) == 1)

@@ -145,22 +145,27 @@ def test_measure_matches_lam_on_every_ball(E, p, level, prec, kind):
                                                         msym)
 
 
-@pytest.mark.parametrize("E, p, walks", [(E11, 11, 3662), (E15, 5, 312)],
-                         ids=["11a1@11", "15a1@5"])
-def test_measure_walks_each_unit_class_once(E, p, walks, monkeypatch):
-    """At N = p the walks read one unit x of each class {+-x, +-1/x} mod
-    p^n: 3 + 28 + 303 + 3328 up to level 4, against the 7,320 units below
-    p^n/2.  At N = 15 and p = 5 they read every one of the 312 units."""
-    calls = []
-    walk = ModularSymbolSpace._walk
-    monkeypatch.setattr(ModularSymbolSpace, "_walk",
-                        lambda self, n, d: calls.append(d) or walk(self, n, d))
+@pytest.mark.parametrize("E, p, level, walks", [
+    (E11, 11, 4, 3662), (E15, 5, 4, 156), (E91, 13, 3, 549)],
+    ids=["11a1@11", "15a1@5", "91a1@13"])
+def test_measure_walks_each_unit_class_once(E, p, level, walks):
+    """At p || N with M = N/p squarefree the walks read one unit x of each
+    class {+-x, +-1/(M x)} mod p^n: for 11a1 at 11 (M = 1) 3 + 28 + 303 +
+    3328 up to level 4, against the 7,320 units below p^n/2; 15a1 at 5
+    and 91a1 at 13 about half of their 312 and 1,098 units."""
+    classes, q = 0, E.N // p
+    for n in range(1, level + 1):
+        m = p ** n
+        classes += len({frozenset((x, m - x, y, m - y)) for x in range(1, m)
+                        if x % p for y in (pow(q * x, -1, m),)})
     msym = ModularSymbolSpace(E)
-    mtt_measure(E, p, 4, msym=msym)
-    assert len(calls) == msym.walks == walks
+    mtt_measure(E, p, level, msym=msym)
+    assert msym.walks == classes == walks
 
 
 def test_reports_carry_the_walk_count():
-    assert exceptional_zero_report(E11, 11, 2).lam_walks == 3 + 28
-    assert total_mass_report(E15, 5, 2).lam_walks == 2 + 10
-    assert total_mass_report(E11, 3, 2).lam_walks == 1 + 3
+    rep = exceptional_zero_report(E11, 11, 2)
+    assert (rep.lam_walks, rep.fe_sign) == (3 + 28, -1)
+    assert total_mass_report(E15, 5, 2)[-2:] == (1 + 5, -1)
+    assert total_mass_report(E15, 3, 2)[-2:] == (1 + 2, 1)
+    assert total_mass_report(E11, 3, 2)[-2:] == (1 + 3, None)
