@@ -181,13 +181,16 @@ class ModularSymbolSpace:
     def fe_sign(self, p):
         """eps = -prod over l | M of (-a_l) = -w_M (the Atkin-Lehner sign)
         when N = p M is squarefree, else None."""
-        N, eps, ell = self.N, -1, 2
-        if N % p or any(N % (k * k) == 0 for k in range(2, N)):
+        M, eps, ell = self.N // p, -1, 2
+        if self.N % p or M % p == 0:
             return None
-        while ell < N:
-            if N // p % ell == 0:
+        while M > 1:   # M has no prime factor below ell
+            if M % ell == 0:
+                M //= ell
+                if M % ell == 0:
+                    return None
                 eps *= -ap(self.E, ell)
-            ell = _next_prime(ell)
+            ell += 1
         return eps
 
     def lam_units(self, m, p):
@@ -214,7 +217,7 @@ class ModularSymbolSpace:
         N, rows, walks = self.N, self._rows, 0
         # k = 0: the bottom row (q_0, q_-1) is (1, 0) whatever the first
         # quotient, so lam has period one
-        start = rows[1 % N][0]
+        start = rows[1][0]
         for x in xs:
             if out[x] is not None:
                 continue
