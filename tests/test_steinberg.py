@@ -68,6 +68,29 @@ def test_phi0_quasi_invariance():
             assert phi0(gb, ell) == phi0(g, ell) + ell(t1 / t2)
 
 
+def test_phi0_reads_g_up_to_a_scalar():
+    # phi0(lam g) = phi0(g) for lam in Q^*, negative or with p in its
+    # numerator or denominator: phi0 is a function on PGL_2, so the
+    # coboundary check may evaluate it at integral representatives
+    rng = random.Random(109)
+    for kind, p in [("ord", 2), ("ord", 3), ("log", 5), ("log", 7)]:
+        ell = EllSpec(kind, p)
+        for _ in range(60):
+            g = [[random_nonzero(rng, p), Fraction(rng.randint(-4, 4))],
+                 [Fraction(rng.randint(-4, 4)), random_nonzero(rng, p)]]
+            if rng.random() < 0.3:   # either branch with a zero entry
+                g[rng.randint(0, 1)][0] = Fraction(0)
+            if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
+                continue
+            lam = random_nonzero(rng, p) * Fraction(
+                rng.choice([1, -1, 5, -7]), rng.choice([1, 2, 3, 11]))
+            want = phi0(g, ell)
+            got = phi0([[lam * e for e in row] for row in g], ell)
+            assert got == want and repr(got) == repr(want), (kind, p, g, lam)
+            if kind == "ord":
+                assert type(got) is int
+
+
 def test_z_ell_examples():
     ell = EllSpec("ord", 3)
     p = 3
