@@ -235,7 +235,7 @@ def cmd_suite(args, parser):
     for r in run_suite(seed=args.seed, quick=args.quick):
         status |= _emit(args, r.ok, {"criterion": r.name,
                                      "elapsed": f"{r.elapsed:.2f}", **r.details},
-                        {"elapsed": round(r.elapsed, 2)})
+                        {"elapsed": round(r.elapsed, 4)})
     return status
 
 

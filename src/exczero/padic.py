@@ -113,25 +113,30 @@ class PadicNumber:
         return from_rational(other, self.p, self.prec + abs(self.val) + 2)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        """The sum to the lesser absolute precision: a sum of two nonzero
+        terms is built from its already reduced unit as it stands."""
+        if type(other) is not PadicNumber:
+            other = self._coerce(other)
         p = self.p
-        ap = min(self.abs_prec, other.abs_prec)
-        if self.is_zero and other.is_zero:
+        assert other.p == p
+        v, u, w, t = self.val, self.unit, other.val, other.unit
+        ap = min(v + self.prec, w + other.prec)
+        if not u or not t:
+            if u or t:
+                return (self if u else other).truncate_abs(ap)
             return PadicNumber.zero(p, ap)
-        if self.is_zero:
-            return other.truncate_abs(ap)
-        if other.is_zero:
-            return self.truncate_abs(ap)
-        v = min(self.val, other.val)
+        if w < v:
+            v, u, w, t = w, t, v, u
         m = ap - v
         if m <= 0:
             return PadicNumber.zero(p, ap)
-        s = (self.unit * p ** (self.val - v) +
-             other.unit * p ** (other.val - v)) % p ** m
+        s = (u + t * p ** (w - v)) % p ** m
         if s == 0:
             return PadicNumber.zero(p, ap)
         w, s = _split(s, p) if s % p == 0 else (0, s)
-        return PadicNumber(p, v + w, s, m - w)
+        out = object.__new__(PadicNumber)
+        out.p, out.val, out.unit, out.prec = p, v + w, s, m - w
+        return out
 
     __radd__ = __add__
 

@@ -14,6 +14,7 @@ O and aO, and translating by t shifts both ends by ord_p(t).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .padic import DEFAULT_PREC, from_rational, log_iwasawa, ord_p
 from .value import Value
@@ -39,14 +40,21 @@ class EllSpec(Value):
         assert x
         if self.kind == "ord":
             return ord_p(x, self.p)
-        return _log(x, self.p, self.prec)
+        return self.ratio(x.numerator, x.denominator)
+
+    def ratio(self, num, den):
+        """ell(num / den) of nonzero ints num and den."""
+        if self.kind == "ord":
+            return ord_p(num, self.p) - ord_p(den, self.p)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return _log(num // g, den // g, self.p, self.prec)
 
 
 @lru_cache(maxsize=1024)
-def _log(x, p, prec):
-    """log_iwasawa of a rational x, kept: the cocycle checks read the log of
-    the same points again and again."""
-    return log_iwasawa(x, p, prec)
+def _log(num, den, p, prec):
+    """log_iwasawa of num / den in lowest terms, den > 0, kept: the cocycle
+    checks read the log of the same points again and again."""
+    return log_iwasawa(Fraction(num, den), p, prec)
 
 
 class EllFunction:
@@ -60,15 +68,19 @@ class EllFunction:
         self.pieces = list(pieces)
 
     def evaluate(self, x):
-        """The constants of the pieces whose region holds x, plus ell(x)
-        once, times their summed weight.  The sum starts at ell.zero, and no
-        term is known beyond its precision (a const is a value of ell), so a
-        const that is ell.zero is skipped; another zero may be known to less,
-        and is added.  ell(x) times a multiple of p is known to more, so it is
-        added to the zero, which caps it."""
+        """The value at a nonzero int or Fraction x."""
         assert x
+        return self.at(x, ord_p(x, self.ell.p))
+
+    def at(self, x, v):
+        """The value at x, of valuation v: the constants of the pieces whose
+        region holds v, plus ell(x) once, times their summed weight.  The sum
+        starts at ell.zero, and no term is known beyond its precision (a
+        const is a value of ell), so a const that is ell.zero is skipped;
+        another zero may be known to less, and is added.  ell(x) times a
+        multiple of p is known to more, so it is added to the zero, which
+        caps it."""
         ell = self.ell
-        v = ord_p(x, ell.p)
         total, weight = ell.zero, 0
         for (lo, hi), const, w in self.pieces:
             if lo <= v and (hi is None or v < hi):
@@ -76,7 +88,7 @@ class EllFunction:
                     total = const if total is ell.zero else total + const
                 weight += w
         if weight:
-            term = ell(x)
+            term = v if ell.kind == "ord" else ell(x)
             if weight != 1:
                 term = -term if weight == -1 else term * weight
             total = term if total is ell.zero and weight % ell.p else \
@@ -104,16 +116,15 @@ class EllFunction:
 
 def phi0(g, ell):
     """The two-case section value: ell(a^2/det) if ord(a) < ord(c), else
-    ell(c^2/det), with ord(0) treated as +infinity."""
+    ell(c^2/det), with ord(0) treated as +infinity.  It reads g only up to a
+    scalar, a function on PGL_2; an integral g stays in ints."""
     (a, b), (c, d) = g
     det = a * d - b * c
     assert det != 0, "singular matrix"
-    p = ell.p
-    oa = ord_p(a, p) if a != 0 else None
-    oc = ord_p(c, p) if c != 0 else None
-    a_branch = oc is None or (oa is not None and oa < oc)
-    top = a if a_branch else c
-    return ell(Fraction(top * top, det))
+    oa, oc = ord_p(a, ell.p), ord_p(c, ell.p)   # None for 0
+    top = a if oc is None or (oa is not None and oa < oc) else c
+    return ell.ratio(top * top, det) if type(det) is int else \
+        ell(top * top / det)
 
 
 def z_ell(a, ell):
@@ -130,13 +141,12 @@ def z_ell(a, ell):
 def coboundary_check(a, x, ell):
     """Both sides of the coboundary identity: lhs from phi_0 around the
     torus element diag(a,1) evaluated at the point section (x -1; 1 0),
-    rhs = 2 z_ell(a)(x)."""
-    a, x = Fraction(a), Fraction(x)
-    assert a != 0 and x != 0
-    ainv = [[1 / a, 0], [0, 1]]
-    mx = [[x, -1], [1, 0]]
-    ainv_mx = [[x / a, -1 / a], [1, 0]]
-    lhs = (phi0(ainv_mx, ell) - phi0(ainv, ell)
-           - phi0(mx, ell) + phi0([[1, 0], [0, 1]], ell))
+    rhs = 2 z_ell(a)(x).  With a = an/ad and x = xn/xd, phi_0 is read at
+    the integral representatives xd an (a^-1 m_x), an a^-1 and xd m_x."""
+    an, ad, xn, xd = a.numerator, a.denominator, x.numerator, x.denominator
+    assert an and xn
+    lhs = (phi0([[xn * ad, -ad * xd], [xd * an, 0]], ell)
+           - phi0([[ad, 0], [0, an]], ell)
+           - phi0([[xn, -xd], [xd, 0]], ell) + phi0([[1, 0], [0, 1]], ell))
     rhs = z_ell(a, ell).evaluate(x) * 2
     return lhs, rhs

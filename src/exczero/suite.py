@@ -15,7 +15,7 @@ from .localdist import mellin_mu_alpha, mellin_target
 from .measures import (
     check_distribution_and_bound, dirac, gamma_transform, vanishing_order,
 )
-from .padic import from_rational, log_iwasawa
+from .padic import from_rational, log_iwasawa, ord_p
 from .pipeline import exceptional_zero_report, mtt_measure, total_mass_report
 from .steinberg import EllSpec, coboundary_check, z_ell
 from .tree import ball_vertices, neighbors
@@ -41,10 +41,8 @@ def _timed(name, fn):
 # -- 1: tree operator identities ----------------------------------------------
 
 def _random_vertex_function(rng, p, verts):
-    phi = VertexFunction(p)
-    for v in rng.sample(verts, min(4, len(verts))):
-        phi = phi + VertexFunction.indicator(v, rng.randint(-5, 5))
-    return phi
+    return VertexFunction(p, {v: rng.randint(-5, 5)
+                              for v in rng.sample(verts, min(4, len(verts)))})
 
 
 def _random_edge_function(rng, p, sign, verts):
@@ -72,26 +70,25 @@ def criterion_tree_identities(seed=0, quick=False, primes=None, radius=None,
             for eps in (1, -1):
                 for _ in range(per):
                     phi = _random_vertex_function(rng, p, verts)
-                    lhs = delta(delta_star(phi, eps))
+                    d_phi = delta_star(phi, eps)
                     rhs = phi.scale(q + 1) - hecke_T(phi).scale(eps)
                     instances += 1
-                    failures += lhs != rhs
+                    failures += delta(d_phi) != rhs
                     c = _random_edge_function(rng, p, eps, verts)
                     instances += 1
-                    failures += delta(c).pairing(phi) != c.pairing(
-                        delta_star(phi, eps))
+                    failures += delta(c).pairing(phi) != c.pairing(d_phi)
                     if not phi.is_zero():
                         instances += 1
-                        failures += delta_star(phi, eps).is_zero()
+                        failures += d_phi.is_zero()
             for alpha in (1, -1, 2):
                 coeff = alpha ** 2 + Fraction(q, alpha ** 2)
                 coeff = coeff.numerator if coeff.denominator == 1 else coeff
                 for _ in range(per):
                     phi = _random_vertex_function(rng, p, verts)
                     lhs = tilde_delta_down(alpha, tilde_delta_up(alpha, phi))
-                    rho2 = rho_times(alpha, rho_times(alpha, phi))
-                    rhs = rho2.scale(coeff) \
-                        - rho_times(alpha, hecke_T(rho_times(alpha, phi)))
+                    rho_phi = rho_times(alpha, phi)
+                    rhs = rho_times(alpha, rho_phi).scale(coeff) \
+                        - rho_times(alpha, hecke_T(rho_phi))
                     instances += 1
                     failures += lhs != rhs
         return failures == 0, {"instances": instances, "failures": failures}
@@ -176,11 +173,10 @@ def criterion_gauss_identities(quick=False):
 # -- 5: Steinberg cocycle and coboundary ---------------------------------------
 
 def _sweep_points(p):
-    pts = []
-    for k in range(-3, 4):
-        for u in (1, 2, p + 1):
-            pts.append(Fraction(u) * Fraction(p) ** k)
-    return pts
+    """Each point u p^k, k in -3..3, u in (1, 2, p + 1), and its valuation."""
+    pts = [Fraction(u) * Fraction(p) ** k
+           for k in range(-3, 4) for u in (1, 2, p + 1)]
+    return [(x, ord_p(x, p)) for x in pts]
 
 
 def _nonzero(rng, p):
@@ -216,9 +212,8 @@ def criterion_steinberg(seed=0, quick=False, p=None, trials=None):
                 zab = z_ell(a * b, ell)
                 za = z_ell(a, ell)
                 zb_a = z_ell(b, ell).act(a)
-                for x in pts:
-                    failures += zab.evaluate(x) != za.evaluate(x) + \
-                        zb_a.evaluate(x)
+                for x, v in pts:
+                    failures += zab.at(x, v) != za.at(x, v) + zb_a.at(x, v)
         return failures == 0, {"failures": failures,
                                "coboundary_trials": len(specs) * n_cob,
                                "cocycle_pairs": len(specs) * n_coc}

@@ -65,17 +65,12 @@ def base_vertex(p):
     return TreeVertex(p, 0, Fraction(0))
 
 
-def neighbors(v):
-    """The p + 1 vertices at distance 1, as a new list: one up (towards
-    infinity), p down."""
-    return list(_neighbors(v))
-
-
 @lru_cache(maxsize=4096)   # holds the 2,563 vertices of radius 3 at p = 13
-def _neighbors(v):
-    """neighbors(v) as a tuple, built once per vertex.  The children b + i
-    p^-n are canonical as they stand: over D = max(den, p^n) their numerators
-    are prime to p for 0 < i < p, and i = 0 is b."""
+def neighbors(v):
+    """The p + 1 vertices at distance 1, one up (towards infinity) and p
+    down, as a tuple built once per vertex.  The children b + i p^-n are
+    canonical as they stand: over D = max(den, p^n) their numerators are
+    prime to p for 0 < i < p, and i = 0 is b."""
     p, n, num, den = v
     # up: b mod p^-(n+1), numerator modulus den * p^-(n+1); 0 if that is <= 1
     e = n + 1

@@ -23,10 +23,6 @@ class VertexFunction:
         self.p = p
         self.data = {v: c for v, c in (data or {}).items() if c}
 
-    @classmethod
-    def indicator(cls, v, coeff=1):
-        return cls(v.p, {v: coeff})
-
     def __call__(self, v):
         return self.data.get(v, 0)
 
@@ -36,17 +32,14 @@ class VertexFunction:
             out[v] = out.get(v, 0) + c
         return VertexFunction(self.p, out)
 
-    def __neg__(self):
-        return VertexFunction(self.p, {v: -c for v, c in self.data.items()})
-
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.data)
+        for v, c in other.data.items():
+            out[v] = out.get(v, 0) - c
+        return VertexFunction(self.p, out)
 
     def scale(self, t):
         return VertexFunction(self.p, {v: c * t for v, c in self.data.items()})
-
-    def pointwise(self, fn):
-        return VertexFunction(self.p, {v: c * fn(v) for v, c in self.data.items()})
 
     def pairing(self, other):
         return sum(c * other(v) for v, c in self.data.items())
@@ -166,23 +159,25 @@ def _rho(alpha, h):
 
 def tilde_delta_down(alpha, c):
     """delta~_rho(c)(v) = sum over t(e)=v of rho(o(e)) c(e), rho = alpha^h."""
-    out = {}
+    out, flip = {}, c._flip
     for (o, t), val in c.data.items():
         # upward orientation: contributes at the target with weight rho(origin),
         # and with the reversed edge at the origin with weight rho(target)
         out[t] = out.get(t, 0) + _rho(alpha, o.n) * val
-        out[o] = out.get(o, 0) + _rho(alpha, t.n) * val * c._flip
+        out[o] = out.get(o, 0) + _rho(alpha, t.n) * (val if flip == 1 else -val)
     return VertexFunction(c.p, out)
 
 
 def tilde_delta_up(alpha, phi):
-    """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e))."""
+    """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e)), as
+    rho(o(e)) (phi(t(e)) - alpha phi(o(e))) on the upward edge: rho(o(e)) is
+    an int only where rho(t(e)) is, so each value keeps its type."""
     out = EdgeFunction(phi.p, 1)
     out.data = {(o, t): c for o, t in _edges_near(phi)
-                if (c := _rho(alpha, o.n) * phi(t)
-                    - _rho(alpha, t.n) * phi(o))}
+                if (c := _rho(alpha, o.n) * (phi(t) - alpha * phi(o)))}
     return out
 
 
 def rho_times(alpha, phi):
-    return phi.pointwise(lambda v: _rho(alpha, v.n))
+    return VertexFunction(phi.p, {v: c * _rho(alpha, v.n)
+                                  for v, c in phi.data.items()})

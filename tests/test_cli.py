@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -338,6 +339,19 @@ def test_steinberg_checks_a_cocycle_pair_at_one_trial(capsys):
     code, out = run(["steinberg", "--p", "5", "--trials", "1"], capsys)
     assert (code, out) == (0, "PASS p=5 failures=0 coboundary_trials=2 "
                               "cocycle_pairs=2\n")
+
+
+def test_suite_json_times_each_criterion_to_a_tenth_of_a_millisecond(
+        capsys):
+    # a quick criterion takes milliseconds: at 0.01 s each would read 0.0
+    code, out = run(["--format", "json", "suite", "--quick"], capsys)
+    times = [json.loads(line)["elapsed"] for line in out.splitlines()]
+    assert code == 0 and len(times) == 10
+    assert all(type(t) is float and round(t, 4) == t for t in times)
+    assert any(round(t, 2) != t for t in times)
+    code, out = run(["suite", "--quick"], capsys)
+    assert all(re.search(r" elapsed=\d+\.\d\d ", line)
+               for line in out.splitlines())
 
 
 def test_seed_determinism(capsys):

@@ -173,6 +173,35 @@ def test_field_arithmetic_matches_rationals(p, x, y):
         assert px / py == from_rational(Fraction(x) / Fraction(y), p, prec - 8 + prec)
 
 
+@st.composite
+def _padics(draw, p):
+    """A rational x and a PadicNumber known to equal it mod p^abs_prec:
+    from_rational at 1..8 digits, maybe cut to a lower absolute precision,
+    with zeros of every precision."""
+    x = draw(st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                          max_denominator=50)) * Fraction(p) ** draw(
+        st.integers(-3, 3))
+    px = from_rational(x, p, draw(st.integers(1, 8)))
+    cut = draw(st.one_of(st.none(), st.integers(-4, 10)))
+    return x, px if cut is None else px.truncate_abs(cut)
+
+
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), _padics(p), _padics(p))))
+@settings(max_examples=300)
+def test_sum_is_reduced_and_matches_the_fraction_sum(args):
+    p, (x, px), (y, py) = args
+    s = px + py
+    assert s.abs_prec == min(px.abs_prec, py.abs_prec)
+    if s.is_zero:
+        assert s.unit == 0 and s.prec == 0
+    else:
+        assert s.unit % p != 0 and s.prec >= 1 and 0 < s.unit < p ** s.prec
+    diff = x + y - s.unit * Fraction(p) ** s.val
+    assert diff == 0 or ord_p(diff, p) >= s.abs_prec
+    assert repr(py + px) == repr(s)
+
+
 def test_precision_loss_on_cancellation():
     p = 5
     a = from_rational(1 + 5 ** 3, p, 6)

@@ -278,3 +278,18 @@ def test_quick_criterion_logs_each_point_once_and_adds_no_zero(monkeypatch):
     assert suite.criterion_steinberg(2024, quick=True).ok
     assert len(logs) == len(set(logs)) == 179
     assert zero_adds == []
+
+
+def test_quick_criterion_takes_ord_p_once_per_sweep_point(monkeypatch):
+    # ord_p once per sweep point and (kind, p), and on ints in phi0: the
+    # parent took 4,689, three per sweep point and pair and more in phi0
+    from exczero import padic, steinberg, suite
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return ord_p(x, p)
+    for module in (padic, steinberg, suite):
+        monkeypatch.setattr(module, "ord_p", counted)
+    assert suite.criterion_steinberg(2024, quick=True).ok
+    assert len(calls) == 1792

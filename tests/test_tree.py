@@ -67,11 +67,12 @@ def test_vertex_equality_and_hash_ignore_the_representative():
 # -- oracles of the integer-keyed paths: today's Fraction arithmetic ----------
 
 def _neighbors_by_fraction(v):
-    """neighbors as it was computed: Fraction children, each re-reduced."""
+    """neighbors as it was computed, as a tuple: Fraction children, each
+    re-reduced."""
     p = v.p
     step = Fraction(p) ** (-v.n)
-    return ([TreeVertex(p, v.n + 1, v.b)]
-            + [TreeVertex(p, v.n - 1, v.b + i * step) for i in range(p)])
+    return ((TreeVertex(p, v.n + 1, v.b),)
+            + tuple(TreeVertex(p, v.n - 1, v.b + i * step) for i in range(p)))
 
 
 def _distance_by_fraction(v, w):

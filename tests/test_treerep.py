@@ -18,10 +18,8 @@ OPERATOR_DIGEST = "a9bc2539aa82baa939448d003d4370ed8cc473f34aaa0f14d1c1aecc0caa8
 
 def random_vertex_function(rng, p, radius=2, terms=4):
     verts = sorted(ball_vertices(p, radius), key=repr)
-    phi = VertexFunction(p)
-    for v in rng.sample(verts, min(terms, len(verts))):
-        phi = phi + VertexFunction.indicator(v, Fraction(rng.randint(-5, 5)))
-    return phi
+    return VertexFunction(p, {v: Fraction(rng.randint(-5, 5))
+                              for v in rng.sample(verts, min(terms, len(verts)))})
 
 
 def random_edge_function(rng, p, sign, radius=2, terms=4):
@@ -98,7 +96,8 @@ def test_twist_conjugates_T():
         p = rng.choice([2, 3])
         eps = rng.choice([1, -1])
         def twist(f):
-            return f.pointwise(lambda v: eps ** abs(v.n))
+            return VertexFunction(f.p, {v: c * eps ** abs(v.n)
+                                        for v, c in f.data.items()})
         phi = random_vertex_function(rng, p)
         assert twist(hecke_T(twist(phi))) == hecke_T(phi).scale(eps)
 
@@ -251,7 +250,7 @@ def test_edge_functions_store_upward_pairs():
 
 def test_quick_tree_criterion_builds_each_neighbourhood_once(monkeypatch):
     from exczero import suite, tree, treerep
-    tree._neighbors.cache_clear()
+    tree.neighbors.cache_clear()
     calls, built = [], []
 
     def counted(v):
@@ -264,3 +263,18 @@ def test_quick_tree_criterion_builds_each_neighbourhood_once(monkeypatch):
                         lambda key: built.append(key) or vertex(key))
     assert suite.criterion_tree_identities(2024, quick=True).ok
     assert len(built) == sum(v.p + 1 for v in set(calls)) < len(calls)
+
+
+def test_quick_tree_criterion_computes_each_operator_once(monkeypatch):
+    # delta*(phi) once per sign trial (three times before: 108 calls) and
+    # rho(phi) once per alpha trial (twice before: 216 rho_times calls)
+    from exczero import suite
+    counts = {"delta_star": 0, "rho_times": 0}
+    for name in counts:
+        def counted(*args, name=name, op=getattr(suite, name)):
+            counts[name] += 1
+            return op(*args)
+        monkeypatch.setattr(suite, name, counted)
+    r = suite.criterion_tree_identities(2024, quick=True)
+    assert r.ok and r.details["instances"] == 162
+    assert counts == {"delta_star": 36, "rho_times": 162}
