@@ -133,9 +133,9 @@ def _edges_near(phi):
 
 def delta_star(phi, sign):
     """delta*_+-(phi)(e) = phi(t(e)) -+ phi(o(e))."""
-    out = EdgeFunction(phi.p, sign)
+    out, get = EdgeFunction(phi.p, sign), phi.data.get
     out.data = {(o, t): c for o, t in _edges_near(phi)
-                if (c := phi(t) - sign * phi(o))}
+                if (c := get(t, 0) - sign * get(o, 0))}
     return out
 
 
@@ -172,9 +172,9 @@ def tilde_delta_up(alpha, phi):
     """delta~^rho(phi)(e) = rho(o(e)) phi(t(e)) - rho(t(e)) phi(o(e)), as
     rho(o(e)) (phi(t(e)) - alpha phi(o(e))) on the upward edge: rho(o(e)) is
     an int only where rho(t(e)) is, so each value keeps its type."""
-    out = EdgeFunction(phi.p, 1)
+    out, get = EdgeFunction(phi.p, 1), phi.data.get
     out.data = {(o, t): c for o, t in _edges_near(phi)
-                if (c := _rho(alpha, o.n) * (phi(t) - alpha * phi(o)))}
+                if (c := _rho(alpha, o.n) * (get(t, 0) - alpha * get(o, 0)))}
     return out
 
 
