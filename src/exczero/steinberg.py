@@ -40,7 +40,7 @@ class EllSpec(Value):
         assert x
         if self.kind == "ord":
             return ord_p(x, self.p)
-        return self.ratio(x.numerator, x.denominator)
+        return _log(x.numerator, x.denominator, self.p, self.prec)
 
     def ratio(self, num, den):
         """ell(num / den) of nonzero ints num and den."""
