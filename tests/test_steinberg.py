@@ -281,8 +281,8 @@ def test_quick_criterion_logs_each_point_once_and_adds_no_zero(monkeypatch):
 
 
 def test_quick_criterion_takes_ord_p_once_per_sweep_point(monkeypatch):
-    # ord_p once per sweep point and (kind, p), and on ints in phi0: the
-    # parent took 4,689, three per sweep point and pair and more in phi0
+    # the sweep takes ord_p once per point and (kind, p), not in each of the
+    # three evaluations at a point, and phi0 takes it on ints
     from exczero import padic, steinberg, suite
     calls = []
 
